@@ -70,7 +70,7 @@ func main() {
 	provider := flag.String("provider", "oem", "attestation-key provider context")
 	autoEnroll := flag.Bool("auto-enroll", false, "plane mode: enroll unknown devices on first hello")
 	maxFailures := flag.Int("max-failures", 0, "plane mode: appraisal failures before quarantine (0 = default)")
-	listeners := flag.Int("listeners", 0, "plane mode: acceptor-pool size (0 = default)")
+	listeners := flag.Int("listeners", 0, "plane mode: session-slot count, connections served at once (0 = default)")
 	metricsAddr := flag.String("metrics", "", "plane mode: serve the live Prometheus exposition over HTTP on this address (/metrics)")
 	flag.Parse()
 
@@ -157,7 +157,7 @@ func runVerifier(addr, provider string, args []string) error {
 // TELF binary whose identity joins the known-good set (no arguments:
 // the built-in demo task). With -metrics, the plane's live Prometheus
 // exposition — session outcomes, registry census, appraisal-cache and
-// acceptor-utilization gauges — is served over HTTP at /metrics.
+// session-slot utilization gauges — is served over HTTP at /metrics.
 func runPlane(addr, provider string, autoEnroll bool, maxFailures, listeners int, metricsAddr string, args []string) error {
 	var known []sha1.Digest
 	if len(args) == 0 {
@@ -243,7 +243,7 @@ func runJoin(addr, device, provider string, args []string) error {
 	}
 	defer conn.Close()
 	srv := remote.NewServer(remote.ComponentsAttestor{C: p.C}, remote.ServerOptions{})
-	err = srv.AttestTo(conn, remote.Hello{Device: device, Provider: provider, TruncID: e.TruncID})
+	err = srv.AttestTo(srv.Conn(conn), remote.Hello{Device: device, Provider: provider, TruncID: e.TruncID})
 	if err != nil {
 		return fmt.Errorf("attestation FAILED: %w", err)
 	}

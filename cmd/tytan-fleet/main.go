@@ -5,7 +5,7 @@
 //
 // The run is seed-deterministic: every report line is a pure function
 // of the flags, so the same invocation renders byte-identical output
-// no matter how the shards and acceptors are scheduled. The telemetry
+// no matter how the shards and session slots are scheduled. The telemetry
 // flags are observational only — they never change the report or the
 // event stream (the `make fleet-trace-check` gate).
 //
@@ -53,7 +53,7 @@ func main() {
 	flag.IntVar(&cfg.Variants, "variants", 0, "published firmware builds (0 = default)")
 	flag.IntVar(&cfg.Faulty, "faulty", 0, "devices running an unpublished build")
 	flag.IntVar(&cfg.MaxFailures, "max-failures", 0, "appraisal failures before quarantine (0 = default)")
-	flag.IntVar(&cfg.Listeners, "listeners", 0, "plane acceptor-pool size (0 = default)")
+	flag.IntVar(&cfg.Listeners, "listeners", 0, "plane session-slot count: sessions served at once (0 = default)")
 	flag.BoolVar(&cfg.Observe, "observe", true, "measure attestation round trips in device cycles")
 	flag.BoolVar(&cfg.bench, "bench", false, "benchmark mode: add host-clock throughput figures")
 	flag.StringVar(&cfg.jsonPath, "json", "", "benchmark mode: write the JSON report to this file (implies -bench)")

@@ -1,14 +1,18 @@
 // Package fleet is the fleet-scale attestation service: N deterministic
 // simulated TyTAN platforms (the device farm) attest against one
-// concurrent verifier plane, over an in-memory network.
+// concurrent verifier plane, in process.
 //
 // The farm spins devices up in a sharded worker pool — each simulation
 // is wall-clock-free, so instances parallelize trivially and the shard
-// count changes only how fast the run finishes, never its outcome. The
-// plane (plane.go) serves sessions with an acceptor pool, per-session
-// deadlines, a verifier-side appraisal cache keyed by measurement
-// digest (cache.go) and a fleet registry with supervisor-style
-// quarantine (registry.go). Every number in the text report is a pure
+// count changes only how fast the run finishes, never its outcome. Each
+// device runs its sessions in its own goroutine: its remote.Server
+// steps a verifier session of the plane directly, every frame encoded
+// and decoded as on a socket but with no network in between. The plane
+// (plane.go) bounds concurrent sessions with a slot pool and decides
+// them with a verifier-side appraisal cache keyed by measurement digest
+// (cache.go) and a fleet registry with supervisor-style quarantine
+// (registry.go). The same plane serves real devices over TCP
+// (Plane.Serve). Every number in the text report is a pure
 // function of the Config, so two runs of the same seed render
 // byte-identical reports even under full concurrency — the
 // `make fleet-check` gate.
@@ -24,6 +28,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/remote"
+	"repro/internal/sha1"
+	"repro/internal/telf"
 	"repro/internal/trace"
 	"repro/internal/trusted"
 )
@@ -49,7 +55,8 @@ type Config struct {
 	// MaxFailures is the appraisal-failure budget before quarantine
 	// (0 = 3).
 	MaxFailures int
-	// Listeners is the plane's acceptor-pool size (0 = 4).
+	// Listeners is the plane's session-slot count: how many sessions it
+	// serves at once (0 = 4).
 	Listeners int
 	// Provider is the attestation-key context (empty = "oem").
 	Provider string
@@ -146,10 +153,10 @@ type deviceResult struct {
 	name      string
 	variant   int
 	faulty    bool
-	ok        int // sessions whose verdict came back pass
-	denied    int // sessions whose verdict came back fail
-	refused   int // hellos refused at the door
-	errored   int // transport/protocol failures
+	ok        int      // sessions whose verdict came back pass
+	denied    int      // sessions whose verdict came back fail
+	refused   int      // hellos refused at the door
+	errored   int      // transport/protocol failures
 	durations []uint64 // attest round-trip spans, device cycles
 	e2e       []uint64 // session end-to-end spans (hello→verdict), device cycles
 	events    []trace.Event
@@ -188,6 +195,17 @@ type Telemetry struct {
 // Run executes a fleet run: boot Devices platforms in Shards workers,
 // each attesting Rounds times against one concurrent verifier plane.
 func Run(cfg Config) (*Result, error) {
+	return run(cfg, (*Plane).attest)
+}
+
+// attestFunc runs one device-initiated session of srv against the plane
+// and returns the device side's error. Run uses the in-process
+// Plane.attest; the transport differential test drives the same farm
+// over net.Pipe and Plane.HandleConn.
+type attestFunc func(p *Plane, srv *remote.Server, h remote.Hello) error
+
+// run is Run over a chosen session transport.
+func run(cfg Config, attest attestFunc) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -211,9 +229,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	known, err := PublishedSet(cfg.Variants)
+	// Every build is assembled once and shared read-only by all the
+	// devices running it: loading copies an image into device RAM and
+	// never writes to it.
+	images, err := variantImages(cfg.Variants + 1)
 	if err != nil {
 		return nil, err
+	}
+	known := make([]sha1.Digest, cfg.Variants)
+	for v := range known {
+		known[v] = trusted.IdentityOfImage(images[v])
 	}
 
 	// The verifier plane. All simulated devices boot from the same
@@ -239,12 +264,6 @@ func Run(cfg Config) (*Result, error) {
 		NonceBase: cfg.Seed << 20,
 		Clock:     cfg.Clock,
 	})
-	ln := newMemListener()
-	planeDone := make(chan struct{})
-	go func() {
-		plane.Serve(ln)
-		close(planeDone)
-	}()
 
 	// The device farm: a sharded worker pool over the device indices.
 	results := make([]deviceResult, cfg.Devices)
@@ -255,7 +274,8 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				results[i] = runDevice(cfg, i, variant[i], faulty[i], ln)
+				results[i] = runDevice(cfg, i, variant[i], faulty[i], images[variant[i]],
+					func(srv *remote.Server, h remote.Hello) error { return attest(plane, srv, h) })
 			}
 		}()
 	}
@@ -264,8 +284,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	close(idxCh)
 	wg.Wait()
-	ln.Close()
-	<-planeDone
 
 	for i := range results {
 		if results[i].err != nil {
@@ -323,9 +341,10 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runDevice boots one simulated device, loads its firmware build, and
-// runs its attestation rounds against the plane.
-func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) deviceResult {
+// runDevice boots one simulated device, loads its firmware build im,
+// and runs its attestation rounds through attest.
+func runDevice(cfg Config, idx, variant int, faulty bool, im *telf.Image,
+	attest func(*remote.Server, remote.Hello) error) deviceResult {
 	res := deviceResult{name: DeviceName(idx), variant: variant, faulty: faulty}
 
 	p, err := core.NewPlatform(core.Options{Provider: cfg.Provider, RAMSize: cfg.RAMSize})
@@ -352,11 +371,6 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 		srvOpts = remote.ServerOptions{Obs: obs.Sink(), Cycles: p.M.Cycles}
 	}
 
-	im, err := VariantImage(variant)
-	if err != nil {
-		res.err = err
-		return res
-	}
 	tcb, _, err := p.LoadTaskSync(im, core.Secure, 3)
 	if err != nil {
 		res.err = err
@@ -381,14 +395,7 @@ func runDevice(cfg Config, idx, variant int, faulty bool, ln *memListener) devic
 		// both the device-side KindSession bracket and the plane-side
 		// KindFleet decision are stamped with.
 		hello.Session = uint64(r)
-		conn, err := ln.Dial()
-		if err != nil {
-			res.errored++
-			continue
-		}
-		err = srv.AttestTo(conn, hello)
-		conn.Close()
-		switch {
+		switch err := attest(srv, hello); {
 		case err == nil:
 			res.ok++
 		case errors.Is(err, remote.ErrDenied):

@@ -1,14 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/remote"
 	"repro/internal/sha1"
+	"repro/internal/telf"
 	"repro/internal/trace"
 	"repro/internal/trusted"
 )
@@ -171,24 +176,17 @@ func TestPlaneQuarantinedRefusal(t *testing.T) {
 	client := remote.NewClient(trusted.NewVerifier(core.DevKey, "oem"), "oem", remote.ClientOptions{})
 	plane := NewPlane(PlaneConfig{Client: client, Registry: reg, Obs: buf})
 
-	devEnd, planeEnd := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- plane.HandleConn(planeEnd) }()
-
 	// The refusal happens before any challenge, so the device needs no
 	// real attestor behind its server.
 	srv := remote.NewServer(remote.ComponentsAttestor{}, remote.ServerOptions{})
-	err := srv.AttestTo(devEnd, remote.Hello{Device: "dev-0000", Provider: "oem"})
+	err := plane.attest(srv, remote.Hello{Device: "dev-0000", Provider: "oem"})
 	if !errors.Is(err, remote.ErrRefused) {
-		t.Fatalf("AttestTo = %v, want ErrRefused", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("HandleConn = %v", err)
+		t.Fatalf("attest = %v, want ErrRefused", err)
 	}
 
-	_, _, refused, _ := plane.Counts()
-	if refused != 1 {
-		t.Fatalf("refused = %d, want 1", refused)
+	_, _, refused, errored := plane.Counts()
+	if refused != 1 || errored != 0 {
+		t.Fatalf("refused = %d, errored = %d, want 1/0", refused, errored)
 	}
 	if d, _ := reg.Lookup("dev-0000"); d.Refusals != 1 {
 		t.Fatalf("registry refusals = %d, want 1", d.Refusals)
@@ -212,16 +210,139 @@ func TestPlaneQuarantinedRefusal(t *testing.T) {
 func TestPlaneUnknownDevice(t *testing.T) {
 	client := remote.NewClient(trusted.NewVerifier(core.DevKey, "oem"), "oem", remote.ClientOptions{})
 	plane := NewPlane(PlaneConfig{Client: client})
-
-	devEnd, planeEnd := net.Pipe()
-	go plane.HandleConn(planeEnd)
 	srv := remote.NewServer(remote.ComponentsAttestor{}, remote.ServerOptions{})
-	err := srv.AttestTo(devEnd, remote.Hello{Device: "dev-9999", Provider: "oem"})
+	err := plane.attest(srv, remote.Hello{Device: "dev-9999", Provider: "oem"})
 	if !errors.Is(err, remote.ErrRefused) {
-		t.Fatalf("AttestTo = %v, want ErrRefused", err)
+		t.Fatalf("attest = %v, want ErrRefused", err)
 	}
 	if _, ok := plane.Registry().Lookup("dev-9999"); ok {
 		t.Fatal("refused device must not be enrolled")
+	}
+	if _, _, refused, _ := plane.Counts(); refused != 1 {
+		t.Fatalf("refused = %d, want 1", refused)
+	}
+}
+
+// pipeAttest serves a session over net.Pipe through Plane.HandleConn —
+// the network path the TCP plane takes.
+func pipeAttest(p *Plane, srv *remote.Server, h remote.Hello) error {
+	devEnd, planeEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		p.HandleConn(planeEnd)
+		close(done)
+	}()
+	err := srv.AttestTo(srv.Conn(devEnd), h)
+	devEnd.Close()
+	<-done
+	return err
+}
+
+// TestTransportDifferential: the in-process farm path and the network
+// path (net.Pipe + HandleConn) run the same session state machine, so
+// one seed renders byte-identical reports and event streams over both —
+// with faulty devices burning their budget into quarantine and one
+// device's hello claiming an unregistered name.
+func TestTransportDifferential(t *testing.T) {
+	cfg := Config{
+		Devices: 16, Rounds: 4, Shards: 4, Listeners: 3, Seed: 11,
+		Variants: 3, Faulty: 2, MaxFailures: 2, CollectEvents: true,
+	}
+	stranger := func(attest attestFunc) attestFunc {
+		return func(p *Plane, srv *remote.Server, h remote.Hello) error {
+			if h.Device == DeviceName(5) && h.Session == 2 {
+				h.Device = "dev-stranger"
+			}
+			return attest(p, srv, h)
+		}
+	}
+	direct, err := run(cfg, stranger((*Plane).attest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	piped, err := run(cfg, stranger(pipeAttest))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rep := direct.Report
+	if rep.Quarantined == 0 || rep.Refused < 2 || rep.Errored != 0 {
+		t.Fatalf("scenario not exercised: quarantined=%d refused=%d errored=%d",
+			rep.Quarantined, rep.Refused, rep.Errored)
+	}
+	if a, b := direct.Report.Text(), piped.Report.Text(); a != b {
+		t.Fatalf("reports differ:\n--- in-process\n%s--- pipe\n%s", a, b)
+	}
+	if len(direct.Events) == 0 || len(direct.Events) != len(piped.Events) {
+		t.Fatalf("event counts: in-process %d, pipe %d", len(direct.Events), len(piped.Events))
+	}
+	for i := range direct.Events {
+		if a, b := direct.Events[i].String(), piped.Events[i].String(); a != b {
+			t.Fatalf("event %d differs:\n%s\nvs\n%s", i, a, b)
+		}
+	}
+}
+
+// relocTask carries relocations in text and data, so loading it patches
+// absolute addresses — in device RAM, never in the image.
+const relocTask = `
+.task "reloc"
+.entry main
+.stack 128
+.text
+main:
+    ldi32 r1, buf
+    ldi32 r2, buf+4
+    ld    r0, [r1+0]
+    ldi   r0, 32000
+    svc   2
+    jmp   main
+.data
+buf:
+    .word 0
+    .word main
+`
+
+// TestSharedImageUnchangedByLoad: a fleet run shares one *telf.Image per
+// build across every device and shard, which is sound only because
+// LoadTaskSync treats the image as read-only. Concurrent loads on
+// separate platforms (under -race in `make race`) must leave each image
+// deep-equal to a copy taken before.
+func TestSharedImageUnchangedByLoad(t *testing.T) {
+	fw, err := VariantImage(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := asm.Assemble(relocTask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.Relocs) == 0 {
+		t.Fatal("reloc task assembled without relocations")
+	}
+	for _, im := range []*telf.Image{fw, rt} {
+		want := *im
+		want.Text, want.Data, want.Relocs = bytes.Clone(im.Text), bytes.Clone(im.Data), slices.Clone(im.Relocs)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p, err := core.NewPlatform(core.Options{Provider: "oem", RAMSize: 2 << 20})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer p.Close()
+				if _, _, err := p.LoadTaskSync(im, core.Secure, 3); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(im, &want) {
+			t.Fatalf("%s: image changed by loading:\n got %+v\nwant %+v", im.Name, im, &want)
+		}
 	}
 }
 

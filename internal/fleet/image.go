@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/asm"
-	"repro/internal/sha1"
 	"repro/internal/telf"
-	"repro/internal/trusted"
 )
 
 // Firmware variants: a fleet does not run one binary — it runs a
@@ -43,16 +41,15 @@ func VariantImage(v int) (*telf.Image, error) {
 	return im, nil
 }
 
-// PublishedSet returns the identities of builds [0, variants) — the
-// plane's known-good measurement set.
-func PublishedSet(variants int) ([]sha1.Digest, error) {
-	out := make([]sha1.Digest, 0, variants)
-	for v := 0; v < variants; v++ {
+// variantImages assembles builds [0, n).
+func variantImages(n int) ([]*telf.Image, error) {
+	out := make([]*telf.Image, n)
+	for v := range out {
 		im, err := VariantImage(v)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, trusted.IdentityOfImage(im))
+		out[v] = im
 	}
 	return out, nil
 }

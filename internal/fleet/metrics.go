@@ -9,7 +9,7 @@ import (
 // Metrics returns the plane's Prometheus registry, built on first call
 // and cached: session-outcome and appraisal-cache counters as sampled
 // gauges, registry census gauges per device state, one state gauge per
-// registered device, per-acceptor utilization, and the two
+// registered device, per-slot utilization, and the two
 // session-duration histograms (device cycles — deterministic, fed via
 // ObserveSessionCycles — and host ns, fed live when a Clock is set).
 //
@@ -80,10 +80,10 @@ func (p *Plane) Metrics() *trace.Registry {
 			func() uint64 { return 1 },
 			trace.Label{Key: "provider", Value: p.client.Provider()})
 
-		for i := range p.acceptors {
+		for i := range p.slotSessions {
 			slot := i
 			r.GaugeWith("tytan_fleet_acceptor_sessions",
-				"sessions served per acceptor slot (pool utilization)",
+				"sessions served per session slot (pool utilization)",
 				func() uint64 { return p.AcceptorSessions()[slot] },
 				trace.Label{Key: "acceptor", Value: strconv.Itoa(slot)})
 		}

@@ -10,14 +10,17 @@ import (
 	"repro/internal/remote"
 	"repro/internal/sha1"
 	"repro/internal/trace"
+	"repro/internal/trusted"
 )
 
-// Plane is the concurrent verifier plane: a pool of acceptor
-// goroutines answers device-initiated attestation sessions over any
-// net.Listener. Each session is hello → policy gate (registry) →
-// challenge → MAC verification (remote.Client) → identity appraisal
-// (cache) → registry verdict. Quarantined and unknown devices are
-// refused at the hello, before any crypto runs.
+// Plane is the concurrent verifier plane. Each device-initiated session
+// is a remote.VerifierSession: hello → policy gate (registry) →
+// challenge → MAC verification → identity appraisal (cache) → registry
+// verdict. The plane is that session's remote.Policy (Admit, Decide).
+// Quarantined and unknown devices are refused at the hello, before any
+// crypto runs. Sessions reach the plane in-process from the device
+// farm (attest) or over a net.Listener (Serve, HandleConn); either way
+// a session holds one of Listeners slots, which bounds concurrency.
 //
 // The plane's decisions about a device depend only on that device's
 // own history (its registry record) and on the measurement sets, never
@@ -28,7 +31,7 @@ type Plane struct {
 	client     *remote.Client
 	reg        *Registry
 	cache      *Cache
-	listeners  int
+	slots      chan int // free session-slot IDs
 	autoEnroll bool
 	obs        trace.Sink
 
@@ -43,7 +46,7 @@ type Plane struct {
 	refused  uint64 // hellos refused at the door
 	errored  uint64 // sessions lost to transport/protocol errors
 
-	acceptors []uint64 // per-acceptor session counts (atomic; Serve only)
+	slotSessions []uint64 // per-slot session counts (atomic)
 
 	// sessionCycles / sessionHostNS are the session-duration histograms
 	// behind Metrics(): device-cycle end-to-end latencies (fed by
@@ -58,10 +61,10 @@ type Plane struct {
 
 // PlaneConfig parameterizes a verifier plane.
 type PlaneConfig struct {
-	// Client drives the wire exchanges and holds the provider's
+	// Client opens the verifier sessions and holds the provider's
 	// verification key. Required.
 	Client *remote.Client
-	// Listeners is the acceptor-pool size: how many sessions the plane
+	// Listeners is the session-slot count: how many sessions the plane
 	// serves concurrently (0 = 4).
 	Listeners int
 	// Registry is the fleet's device table (nil = a fresh registry with
@@ -102,16 +105,20 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	if listeners <= 0 {
 		listeners = 4
 	}
+	slots := make(chan int, listeners)
+	for i := 0; i < listeners; i++ {
+		slots <- i
+	}
 	return &Plane{
-		client:     cfg.Client,
-		reg:        reg,
-		cache:      NewCache(cfg.KnownGood),
-		listeners:  listeners,
-		autoEnroll: cfg.AutoEnroll,
-		obs:        cfg.Obs,
-		nonce:      cfg.NonceBase,
-		clock:      cfg.Clock,
-		acceptors:  make([]uint64, listeners),
+		client:       cfg.Client,
+		reg:          reg,
+		cache:        NewCache(cfg.KnownGood),
+		slots:        slots,
+		autoEnroll:   cfg.AutoEnroll,
+		obs:          cfg.Obs,
+		nonce:        cfg.NonceBase,
+		clock:        cfg.Clock,
+		slotSessions: make([]uint64, listeners),
 		// Cycle buckets span the observed e2e range (~a quote's HMAC
 		// cost up to a congested fleet round-trip); ns buckets span
 		// 1µs–100ms of host verification path.
@@ -187,75 +194,112 @@ func (p *Plane) emitVerdict(d Device, session uint64, pass bool, reason string) 
 	})
 }
 
-// HandleConn serves one device-initiated session and closes the
-// connection. Refusals and failed appraisals are normal outcomes
-// (recorded, nil error); the error return reports transport and
-// protocol failures only.
-func (p *Plane) HandleConn(conn net.Conn) error {
-	defer conn.Close()
-	if p.clock != nil {
-		start := p.clock()
-		defer func() {
-			d := p.clock() - start
-			p.hostMu.Lock()
-			p.hostNS = append(p.hostNS, d)
-			p.hostMu.Unlock()
-			if d > 0 {
-				p.sessionHostNS.Observe(uint64(d))
-			}
-		}()
-	}
-	h, err := p.client.AwaitHello(conn)
-	if err != nil {
-		atomic.AddUint64(&p.errored, 1)
-		return err
-	}
+// Admit implements remote.Policy: the registry gate. Unknown providers
+// and devices (unless auto-enrolling) and quarantined devices are
+// refused; everyone else is challenged under a fresh nonce.
+func (p *Plane) Admit(h remote.Hello) (uint64, string) {
 	if h.Provider != p.client.Provider() {
 		atomic.AddUint64(&p.refused, 1)
 		p.emitRefusal(Device{Name: h.Device}, h.Session, "unknown provider")
-		p.client.Refuse(conn, fmt.Sprintf("unknown provider %q", h.Provider))
-		return nil
+		return 0, fmt.Sprintf("unknown provider %q", h.Provider)
 	}
 	if _, ok := p.reg.Lookup(h.Device); !ok {
 		if !p.autoEnroll {
 			atomic.AddUint64(&p.refused, 1)
 			p.emitRefusal(Device{Name: h.Device}, h.Session, "unknown device")
-			p.client.Refuse(conn, "unknown device")
-			return nil
+			return 0, "unknown device"
 		}
 		p.reg.Register(h.Device)
 	}
 	if p.reg.Quarantined(h.Device) {
 		atomic.AddUint64(&p.refused, 1)
 		p.emitRefusal(p.reg.noteRefusal(h.Device), h.Session, "quarantined")
-		p.client.Refuse(conn, "device quarantined")
-		return nil
+		return 0, "device quarantined"
 	}
+	return atomic.AddUint64(&p.nonce, 1), ""
+}
 
-	nonce := atomic.AddUint64(&p.nonce, 1)
-	q, err := p.client.Challenge(conn, h.TruncID, nonce)
+// Decide implements remote.Policy: identity appraisal and the registry
+// verdict. The outcome is recorded before the session sends its
+// verdict frame; the device blocks on that frame, so its next hello is
+// guaranteed to see this session's registry state — the ordering the
+// fleet's determinism rests on.
+func (p *Plane) Decide(h remote.Hello, q trusted.Quote, err error) (bool, string) {
 	if err != nil {
 		// The exchange itself failed — bad MAC, stale nonce, malformed
-		// frames, or a dead connection. All count against the device's
+		// frames, or a dead link. All count against the device's
 		// budget: a device that cannot produce a valid fresh quote is
 		// exactly what the budget exists for.
 		atomic.AddUint64(&p.rejected, 1)
 		p.emitVerdict(p.reg.NoteFail(h.Device), h.Session, false, "bad quote")
-		p.client.Verdict(conn, false, "bad quote") // best-effort; conn may be dead
-		return err
+		return false, "bad quote"
 	}
-	// Record the outcome before the verdict frame: the device blocks on
-	// the verdict, so its next hello is guaranteed to see this session's
-	// registry state — the ordering the fleet's determinism rests on.
-	ok, _ := p.cache.Appraise(q.ID)
-	if !ok {
+	if ok, _ := p.cache.Appraise(q.ID); !ok {
 		atomic.AddUint64(&p.rejected, 1)
 		p.emitVerdict(p.reg.NoteFail(h.Device), h.Session, false, "unknown measurement")
-		return p.client.Verdict(conn, false, "unknown measurement")
+		return false, "unknown measurement"
 	}
 	atomic.AddUint64(&p.attested, 1)
 	p.emitVerdict(p.reg.NotePass(h.Device), h.Session, true, "")
-	return p.client.Verdict(conn, true, "")
+	return true, ""
+}
+
+// session runs one verifier session in slot: drive carries the
+// device's frames to it, and the session is closed once drive returns.
+// Sessions that fail before a hello identifies a device count as
+// errored; refusals and failed appraisals are normal outcomes. The
+// returned error is the verifier side's (nil for a delivered verdict or
+// refusal).
+func (p *Plane) session(slot int, drive func(*remote.VerifierSession)) error {
+	defer func() {
+		atomic.AddUint64(&p.slotSessions[slot], 1)
+		p.slots <- slot
+	}()
+	var start int64
+	if p.clock != nil {
+		start = p.clock()
+	}
+	v := p.client.NewSession(p)
+	drive(v)
+	err := v.Close()
+	if err != nil && !v.Opened() {
+		atomic.AddUint64(&p.errored, 1)
+	}
+	if p.clock != nil {
+		d := p.clock() - start
+		p.hostMu.Lock()
+		p.hostNS = append(p.hostNS, d)
+		p.hostMu.Unlock()
+		if d > 0 {
+			p.sessionHostNS.Observe(uint64(d))
+		}
+	}
+	return err
+}
+
+// attest runs one device-initiated session in the caller's goroutine:
+// srv talks to a fresh verifier session through remote's in-process
+// transport. It returns the device side's error, as AttestTo does.
+func (p *Plane) attest(srv *remote.Server, h remote.Hello) error {
+	var err error
+	p.session(<-p.slots, func(v *remote.VerifierSession) {
+		err = srv.AttestTo(srv.Direct(v), h)
+	})
+	return err
+}
+
+// HandleConn serves one device-initiated session on conn, once a
+// session slot is free, and closes the connection. Refusals and failed
+// appraisals are normal outcomes (recorded, nil error); the error
+// return reports transport, protocol and quote failures.
+func (p *Plane) HandleConn(conn net.Conn) error {
+	return p.serveConn(<-p.slots, conn)
+}
+
+// serveConn serves conn's session in slot.
+func (p *Plane) serveConn(slot int, conn net.Conn) error {
+	defer conn.Close()
+	return p.session(slot, func(v *remote.VerifierSession) { v.Serve(conn) })
 }
 
 // HostDurations returns the sorted per-session verification-path host
@@ -270,36 +314,36 @@ func (p *Plane) HostDurations() []int64 {
 	return out
 }
 
-// Serve runs the acceptor pool over l until Accept fails (listener
-// closed). Each acceptor serves its sessions inline, so the pool size
-// bounds the plane's concurrency.
+// Serve accepts connections on l until Accept fails (listener closed),
+// serving each in its own goroutine. A connection is accepted only once
+// a session slot is free, so Listeners bounds the open connections too.
+// Serve returns after the sessions in flight finish.
 func (p *Plane) Serve(l net.Listener) {
 	var wg sync.WaitGroup
-	for i := 0; i < p.listeners; i++ {
+	defer wg.Wait()
+	for {
+		slot := <-p.slots
+		conn, err := l.Accept()
+		if err != nil {
+			p.slots <- slot
+			return
+		}
 		wg.Add(1)
-		go func(slot int) {
+		go func() {
 			defer wg.Done()
-			for {
-				conn, err := l.Accept()
-				if err != nil {
-					return
-				}
-				p.HandleConn(conn)
-				atomic.AddUint64(&p.acceptors[slot], 1)
-			}
-		}(i)
+			p.serveConn(slot, conn)
+		}()
 	}
-	wg.Wait()
 }
 
-// AcceptorSessions returns how many sessions each acceptor slot has
+// AcceptorSessions returns how many sessions each session slot has
 // served — the pool-utilization view behind the fleet metrics. Which
-// acceptor serves which session is a scheduling accident, so the
-// per-slot split is not deterministic (the sum is).
+// slot serves which session is a scheduling accident, so the per-slot
+// split is not deterministic (the sum is).
 func (p *Plane) AcceptorSessions() []uint64 {
-	out := make([]uint64, len(p.acceptors))
-	for i := range p.acceptors {
-		out[i] = atomic.LoadUint64(&p.acceptors[i])
+	out := make([]uint64, len(p.slotSessions))
+	for i := range p.slotSessions {
+		out[i] = atomic.LoadUint64(&p.slotSessions[i])
 	}
 	return out
 }

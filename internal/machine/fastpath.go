@@ -99,12 +99,56 @@ func getRAM(size uint32) []byte {
 	return make([]byte, size)
 }
 
+// The engine caches are recycled between machines the way ramPool
+// recycles RAM: a fleet boots a platform per device, and allocating and
+// collecting fresh predecode, compiled-block and code-granule tables
+// for each dominated its allocation volume. Release zeroes a table
+// before pooling it, so a machine that takes one starts from the same
+// all-invalid entries as a freshly allocated table. Only default-size
+// predecode tables are pooled; one GrowICacheForText widened is left to
+// the GC.
+var (
+	icachePool  tablePool[icEntry]
+	sbcachePool tablePool[sbEntry]
+	sbPagesPool tablePool[uint32]
+)
+
+// tablePool recycles zeroed tables of one element type.
+type tablePool[T any] struct{ p sync.Pool }
+
+// get returns a zeroed table of n entries, recycled when the pool holds
+// one of that length.
+func (tp *tablePool[T]) get(n int) []T {
+	if v := tp.p.Get(); v != nil {
+		if t := *(v.(*[]T)); len(t) == n {
+			return t
+		}
+		// Wrong size: drop it and let the GC have it.
+	}
+	return make([]T, n)
+}
+
+// put zeroes t and pools it (nil is ignored).
+func (tp *tablePool[T]) put(t []T) {
+	if t != nil {
+		clear(t)
+		tp.p.Put(&t)
+	}
+}
+
 // Release returns the machine's RAM buffer to the pool, zeroed up to
-// the dirty watermark. The machine must not be used afterwards, and the
-// caller must not retain slices obtained from RAMView/ReadBytes-free
-// accessors into its memory. Calling Release is optional — an
-// un-released machine is simply collected by the GC.
+// the dirty watermark, and its engine caches, zeroed. The machine must
+// not be used afterwards, and the caller must not retain slices
+// obtained from RAMView/ReadBytes-free accessors into its memory.
+// Calling Release is optional — an un-released machine is simply
+// collected by the GC.
 func (m *Machine) Release() {
+	if len(m.icache) == 1<<icacheBits {
+		icachePool.put(m.icache)
+	}
+	sbcachePool.put(m.sbcache)
+	sbPagesPool.put(m.sbPages)
+	m.icache, m.sbcache, m.sbPages = nil, nil, nil
 	b := m.ram
 	m.ram = nil
 	if b == nil {
@@ -303,7 +347,11 @@ func (m *Machine) fetchFast() (isa.Instruction, *Fault) {
 		m.execSpanFills++
 	}
 	if m.icache == nil {
-		m.icache = make([]icEntry, m.icMask+1)
+		if n := int(m.icMask) + 1; n == 1<<icacheBits {
+			m.icache = icachePool.get(n)
+		} else {
+			m.icache = make([]icEntry, n)
+		}
 	}
 	ic := &m.icache[(pc>>2)&m.icMask]
 	if ic.gen == m.gen && ic.pc == pc {

@@ -139,7 +139,7 @@ func (m *Machine) stepBlock(start, budget uint64) (uint64, bool) {
 	m.syncMPUGen()
 	pc := m.eip
 	if m.sbcache == nil {
-		m.sbcache = make([]sbEntry, sbSize)
+		m.sbcache = sbcachePool.get(sbSize)
 	}
 	e := &m.sbcache[(pc>>2)*hashMul>>(32-sbBits)]
 	if e.gen != m.gen || e.pc != pc {
@@ -332,7 +332,7 @@ func (m *Machine) compileBlock(start uint32) *superblock {
 // generation, so noteRAMWrite can invalidate on overlap.
 func (m *Machine) markCompiled(lo, hi uint32) {
 	if m.sbPages == nil {
-		m.sbPages = make([]uint32, (len(m.ram)+(1<<sbPageBits)-1)>>sbPageBits)
+		m.sbPages = sbPagesPool.get((len(m.ram) + (1 << sbPageBits) - 1) >> sbPageBits)
 	}
 	if lo < m.sbLo {
 		m.sbLo = lo

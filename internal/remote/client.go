@@ -14,7 +14,8 @@ import (
 // zero value is ready: default deadline and retry schedule, default
 // frame limit, no stats.
 type ClientOptions struct {
-	// Timeout bounds each exchange's I/O (0 = DefaultIOTimeout).
+	// Timeout bounds each exchange's I/O, and each frame's I/O in a
+	// VerifierSession served over a conn (0 = DefaultIOTimeout).
 	Timeout time.Duration
 	// MaxFrame bounds frame sizes in both directions, type byte
 	// included (0 = DefaultMaxFrame). Oversize frames are rejected with
@@ -122,73 +123,6 @@ func (c *Client) Attest(conn net.Conn, expected sha1.Digest, nonce uint64) (trus
 		return trusted.Quote{}, err
 	}
 	return q, nil
-}
-
-// Challenge runs one exchange against the device-reported truncated
-// identity and checks only freshness and authenticity (nonce + MAC),
-// leaving identity appraisal to the caller. This is the fleet plane's
-// half: it learns *what* the device runs from the authenticated quote
-// and appraises the identity against its own policy (typically a
-// cached known-good set) afterwards.
-func (c *Client) Challenge(conn net.Conn, trunc, nonce uint64) (trusted.Quote, error) {
-	var q trusted.Quote
-	err := withDeadline(conn, c.opt.Timeout, func() error {
-		var aerr error
-		q, aerr = c.exchange(conn, trunc, nonce)
-		if aerr != nil {
-			return aerr
-		}
-		return c.v.VerifyMAC(q, nonce)
-	})
-	if err != nil {
-		return trusted.Quote{}, err
-	}
-	return q, nil
-}
-
-// AwaitHello reads a device-initiated hello from conn under the
-// client's I/O deadline.
-func (c *Client) AwaitHello(conn net.Conn) (Hello, error) {
-	var h Hello
-	err := withDeadline(conn, c.opt.Timeout, func() error {
-		typ, payload, err := readFrame(conn, c.opt.MaxFrame)
-		if err != nil {
-			return err
-		}
-		if typ != MsgHello {
-			return fmt.Errorf("%w: type %d, want hello", ErrBadMessage, typ)
-		}
-		var herr error
-		h, herr = unmarshalHello(payload)
-		return herr
-	})
-	return h, err
-}
-
-// Refuse answers a device-initiated hello with an error frame: the
-// plane will not attest this device. The device sees ErrRefused.
-func (c *Client) Refuse(conn net.Conn, reason string) error {
-	return withDeadline(conn, c.opt.Timeout, func() error {
-		return writeFrame(conn, c.opt.MaxFrame, MsgError, []byte(reason))
-	})
-}
-
-// Verdict closes a device-initiated session with the plane's appraisal
-// outcome. The device's AttestTo blocks on this frame, so send it only
-// after the plane has fully recorded the session — that ordering is
-// what lets the device trust that its next hello sees current state. A
-// failed verdict surfaces on the device as ErrDenied wrapping reason.
-func (c *Client) Verdict(conn net.Conn, pass bool, reason string) error {
-	return withDeadline(conn, c.opt.Timeout, func() error {
-		payload := make([]byte, 0, 1+len(reason))
-		var p byte
-		if pass {
-			p = 1
-		}
-		payload = append(payload, p)
-		payload = append(payload, reason...)
-		return writeFrame(conn, c.opt.MaxFrame, MsgVerdict, payload)
-	})
 }
 
 // AttestRetry runs the verifier side with bounded retry: each attempt

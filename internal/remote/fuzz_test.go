@@ -3,7 +3,11 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
+
+	"repro/internal/trusted"
 )
 
 // frame builds a wire frame with an arbitrary declared length (not
@@ -124,4 +128,121 @@ func FuzzUnmarshalHello(f *testing.F) {
 			t.Fatalf("hello round-trip mismatch: %x != %x", b, data)
 		}
 	})
+}
+
+// sessionPolicy admits every "oem" hello with nonce 42 and refuses any
+// other provider. Its Decide passes everything — an adversarial policy,
+// so the fuzzer checks that the state machine alone keeps unverified
+// quotes from passing.
+type sessionPolicy struct{}
+
+func (sessionPolicy) Admit(h Hello) (uint64, string) {
+	if h.Provider != "oem" {
+		return 0, "unknown provider"
+	}
+	return 42, ""
+}
+
+func (sessionPolicy) Decide(Hello, trusted.Quote, error) (bool, string) { return true, "" }
+
+// wireFrames encodes frames back to back in their wire form.
+func wireFrames(frames ...reply) []byte {
+	var buf bytes.Buffer
+	for _, f := range frames {
+		writeFrame(&buf, DefaultMaxFrame, f.typ, f.payload)
+	}
+	return buf.Bytes()
+}
+
+// FuzzPlaneSession feeds an arbitrary device frame sequence (frames
+// back to back in wire form; a malformed tail is a link failure) into
+// the verifier session state machine. Every sequence must close the
+// session with a verdict, a refusal or a typed error, and a pass
+// verdict requires a quote whose MAC verifies under the nonce the
+// session's own challenge issued.
+func FuzzPlaneSession(f *testing.F) {
+	p, e := devicePlatform(f)
+	c := oemClient(p, ClientOptions{})
+	ver := p.Provider("oem").Verifier()
+	att := ComponentsAttestor{C: p.C}
+	hello, _ := marshalHello(Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID()})
+	good, err := att.QuoteByTruncID("oem", e.ID.TruncatedID(), 42)
+	if err != nil {
+		f.Fatal(err)
+	}
+	stale, _ := att.QuoteByTruncID("oem", e.ID.TruncatedID(), 41)
+	forged := good
+	forged.MAC[0] ^= 1
+	evil, _ := marshalHello(Hello{Device: "dev-0", Provider: "evil"})
+
+	f.Add(wireFrames(reply{MsgHello, hello}, reply{MsgQuote, good.Marshal()}))
+	f.Add(wireFrames(reply{MsgHello, hello}, reply{MsgQuote, forged.Marshal()}))
+	f.Add(wireFrames(reply{MsgHello, hello}, reply{MsgQuote, stale.Marshal()}))
+	f.Add(wireFrames(reply{MsgHello, hello}, reply{MsgError, []byte("unknown identity")}))
+	f.Add(wireFrames(reply{MsgHello, hello}, reply{MsgHello, hello}))
+	f.Add(wireFrames(reply{MsgHello, hello}))
+	f.Add(wireFrames(reply{MsgHello, evil}, reply{MsgQuote, good.Marshal()}))
+	f.Add(wireFrames(reply{MsgQuote, good.Marshal()}))
+	f.Add(append(wireFrames(reply{MsgHello, hello}), 0xff, 0xff, 0xff, 0xff))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := c.NewSession(sessionPolicy{})
+		r := bytes.NewReader(data)
+		var last reply
+		var issued uint64
+		var quote []byte
+		for steps := 0; s.state != closed; steps++ {
+			if steps > 2 {
+				t.Fatal("session still open after hello and quote")
+			}
+			typ, payload, rerr := readFrame(r, DefaultMaxFrame)
+			if s.state == awaitQuote && rerr == nil && typ == MsgQuote {
+				quote = payload
+			}
+			rep := s.step(typ, payload, rerr)
+			if rep.typ == MsgChallenge {
+				ch, err := unmarshalChallenge(rep.payload)
+				if err != nil {
+					t.Fatalf("session issued a malformed challenge: %v", err)
+				}
+				issued = ch.Nonce
+			}
+			if rep.typ != 0 {
+				last = rep
+			}
+		}
+		err := s.Close()
+		if err != nil && !isTyped(err) {
+			t.Fatalf("session ended in an untyped error: %v", err)
+		}
+		if err == nil && last.typ != MsgVerdict && last.typ != MsgError {
+			t.Fatalf("session closed without a verdict, refusal or error (last reply %d)", last.typ)
+		}
+		if last.typ != MsgVerdict || len(last.payload) == 0 || last.payload[0] != 1 {
+			return
+		}
+		if quote == nil {
+			t.Fatal("pass verdict without a quote")
+		}
+		q, qerr := trusted.UnmarshalQuote(quote)
+		if qerr != nil {
+			t.Fatalf("pass verdict on an undecodable quote: %v", qerr)
+		}
+		if verr := ver.VerifyMAC(q, issued); verr != nil {
+			t.Fatalf("pass verdict on a quote that fails MAC under nonce %d: %v", issued, verr)
+		}
+	})
+}
+
+// isTyped reports whether a session error is one of the protocol's
+// typed failures.
+func isTyped(err error) bool {
+	for _, want := range []error{ErrBadMessage, ErrRemote, ErrFrameTooLarge,
+		trusted.ErrQuoteInvalid, io.EOF, io.ErrUnexpectedEOF} {
+		if errors.Is(err, want) {
+			return true
+		}
+	}
+	return false
 }

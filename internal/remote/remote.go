@@ -37,13 +37,24 @@
 //
 // # API
 //
-// The package surface is two types. Server is the device side: it owns
-// an Attestor and answers challenges (ServeOne, ServeConn, Serve) or
-// initiates a session toward a verifier plane (AttestTo). Client is the
-// verifier side: it owns a trusted.Verifier and drives exchanges
-// (Attest, AttestRetry) or answers device-initiated sessions
-// (AwaitHello, Challenge, Refuse). Deadlines, retry policy, frame
-// limits and stats all live in ServerOptions/ClientOptions.
+// Server is the device side: it owns an Attestor and answers
+// challenges (ServeOne, ServeConn, Serve), or opens a device-initiated
+// session toward a verifier plane with AttestTo over a Transport.
+// Client is the verifier side: it owns a trusted.Verifier and drives
+// verifier-initiated exchanges (Attest, AttestRetry).
+//
+// Device-initiated sessions are served by a VerifierSession
+// (Client.NewSession), a message-level state machine that consumes
+// device frames and produces replies without touching a socket. Its
+// Policy decides who is admitted and what passes; the session owns the
+// protocol and the MAC check, so no policy can pass a quote that does
+// not verify under the nonce the session issued. Two transports carry
+// it: VerifierSession.Serve over a net.Conn (a plane across a network),
+// and Server.Direct, which steps the session in the device's own
+// goroutine for an in-process fleet — every frame still encoded,
+// decoded and held to both sides' MaxFrame, but no socket, goroutine
+// pair or timer. Deadlines, retry policy, frame limits and stats live
+// in ServerOptions/ClientOptions.
 package remote
 
 import (

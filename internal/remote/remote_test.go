@@ -25,7 +25,7 @@ main:
     jmp main
 `
 
-func devicePlatform(t *testing.T) (*core.Platform, *trusted.RegistryEntry) {
+func devicePlatform(t testing.TB) (*core.Platform, *trusted.RegistryEntry) {
 	t.Helper()
 	p, err := core.NewPlatform(core.Options{Provider: "oem"})
 	if err != nil {
@@ -209,6 +209,62 @@ func TestHelloRoundTripQuick(t *testing.T) {
 	}
 }
 
+// testPolicy admits every hello with a fixed nonce (or refuses it with
+// a fixed reason) and answers every appraisal with a fixed verdict,
+// recording what the session fed it.
+type testPolicy struct {
+	nonce   uint64
+	refusal string
+	pass    bool
+	reason  string
+
+	hello   Hello
+	decided bool
+	quote   trusted.Quote
+	err     error
+}
+
+func (p *testPolicy) Admit(h Hello) (uint64, string) {
+	p.hello = h
+	return p.nonce, p.refusal
+}
+
+func (p *testPolicy) Decide(h Hello, q trusted.Quote, err error) (bool, string) {
+	p.decided, p.quote, p.err = true, q, err
+	return p.pass, p.reason
+}
+
+// pipeSession runs one device-initiated session over net.Pipe: the
+// device's AttestTo on one end, a verifier session deciding through pol
+// on the other. It returns both sides' errors.
+func pipeSession(srv *Server, c *Client, pol Policy, h Hello) (devErr, verErr error) {
+	devConn, verConn := net.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		defer verConn.Close()
+		done <- c.NewSession(pol).Serve(verConn)
+	}()
+	devErr = srv.AttestTo(srv.Conn(devConn), h)
+	devConn.Close()
+	return devErr, <-done
+}
+
+// directSession runs the same session in-process through Server.Direct.
+func directSession(srv *Server, c *Client, pol Policy, h Hello) (devErr, verErr error) {
+	v := c.NewSession(pol)
+	devErr = srv.AttestTo(srv.Direct(v), h)
+	return devErr, v.Close()
+}
+
+// transports are the two ways a device reaches a verifier session.
+var transports = []struct {
+	name string
+	run  func(*Server, *Client, Policy, Hello) (error, error)
+}{
+	{"pipe", pipeSession},
+	{"direct", directSession},
+}
+
 // TestAttestToChallenged: a device-initiated session against a plane
 // that accepts the hello and challenges; the device's quote MAC-checks
 // and carries the expected identity.
@@ -216,32 +272,18 @@ func TestAttestToChallenged(t *testing.T) {
 	p, e := devicePlatform(t)
 	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
 	c := oemClient(p, ClientOptions{})
-	devConn, verConn := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		defer devConn.Close()
-		done <- srv.AttestTo(devConn, Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID()})
-	}()
-	h, err := c.AwaitHello(verConn)
-	if err != nil {
-		t.Fatalf("await hello: %v", err)
-	}
-	if h.Device != "dev-0" || h.Provider != "oem" || h.TruncID != e.ID.TruncatedID() {
-		t.Fatalf("hello = %+v", h)
-	}
-	q, err := c.Challenge(verConn, h.TruncID, 99)
-	if err != nil {
-		t.Fatalf("challenge: %v", err)
-	}
-	if q.ID != e.ID || q.Nonce != 99 {
-		t.Errorf("quote = %+v", q)
-	}
-	if err := c.Verdict(verConn, true, ""); err != nil {
-		t.Fatalf("verdict: %v", err)
-	}
-	verConn.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("device side: %v", err)
+	for _, tr := range transports {
+		pol := &testPolicy{nonce: 99, pass: true}
+		devErr, verErr := tr.run(srv, c, pol, Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID()})
+		if devErr != nil || verErr != nil {
+			t.Fatalf("%s: device %v, verifier %v", tr.name, devErr, verErr)
+		}
+		if h := pol.hello; h.Device != "dev-0" || h.Provider != "oem" || h.TruncID != e.ID.TruncatedID() {
+			t.Fatalf("%s: hello = %+v", tr.name, h)
+		}
+		if !pol.decided || pol.err != nil || pol.quote.ID != e.ID || pol.quote.Nonce != 99 {
+			t.Errorf("%s: decided=%v err=%v quote=%+v", tr.name, pol.decided, pol.err, pol.quote)
+		}
 	}
 }
 
@@ -254,28 +296,13 @@ func TestAttestToSessionEvents(t *testing.T) {
 	buf := &trace.Buffer{}
 	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{Obs: buf, Cycles: p.M.Cycles})
 	c := oemClient(p, ClientOptions{})
-	devConn, verConn := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		defer devConn.Close()
-		done <- srv.AttestTo(devConn, Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID(), Session: 4})
-	}()
-	h, err := c.AwaitHello(verConn)
-	if err != nil {
-		t.Fatalf("await hello: %v", err)
+	pol := &testPolicy{nonce: 99, pass: true}
+	devErr, verErr := pipeSession(srv, c, pol, Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID(), Session: 4})
+	if devErr != nil || verErr != nil {
+		t.Fatalf("device %v, verifier %v", devErr, verErr)
 	}
-	if h.Session != 4 {
-		t.Fatalf("session ordinal = %d, want 4", h.Session)
-	}
-	if _, err := c.Challenge(verConn, h.TruncID, 99); err != nil {
-		t.Fatalf("challenge: %v", err)
-	}
-	if err := c.Verdict(verConn, true, ""); err != nil {
-		t.Fatalf("verdict: %v", err)
-	}
-	verConn.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("device side: %v", err)
+	if pol.hello.Session != 4 {
+		t.Fatalf("session ordinal = %d, want 4", pol.hello.Session)
 	}
 
 	evs := buf.Events()
@@ -315,57 +342,96 @@ func TestAttestToDenied(t *testing.T) {
 	p, e := devicePlatform(t)
 	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
 	c := oemClient(p, ClientOptions{})
-	devConn, verConn := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		defer devConn.Close()
-		done <- srv.AttestTo(devConn, Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID()})
-	}()
-	h, err := c.AwaitHello(verConn)
-	if err != nil {
-		t.Fatalf("await hello: %v", err)
-	}
-	if _, err := c.Challenge(verConn, h.TruncID, 7); err != nil {
-		t.Fatalf("challenge: %v", err)
-	}
-	if err := c.Verdict(verConn, false, "unknown measurement"); err != nil {
-		t.Fatalf("verdict: %v", err)
-	}
-	verConn.Close()
-	err = <-done
-	if !errors.Is(err, ErrDenied) {
-		t.Fatalf("device side = %v, want ErrDenied", err)
-	}
-	if !strings.Contains(err.Error(), "unknown measurement") {
-		t.Errorf("reason lost: %v", err)
+	for _, tr := range transports {
+		pol := &testPolicy{nonce: 7, reason: "unknown measurement"}
+		devErr, verErr := tr.run(srv, c, pol, Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID()})
+		if verErr != nil {
+			t.Fatalf("%s: verifier %v", tr.name, verErr)
+		}
+		if !errors.Is(devErr, ErrDenied) {
+			t.Fatalf("%s: device side = %v, want ErrDenied", tr.name, devErr)
+		}
+		if !strings.Contains(devErr.Error(), "unknown measurement") {
+			t.Errorf("%s: reason lost: %v", tr.name, devErr)
+		}
 	}
 }
 
 // TestAttestToRefused: a plane that refuses the hello surfaces as
-// ErrRefused on the device, wrapping the plane's reason.
+// ErrRefused on the device, wrapping the plane's reason, and no
+// appraisal runs.
 func TestAttestToRefused(t *testing.T) {
 	p, e := devicePlatform(t)
 	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
 	c := oemClient(p, ClientOptions{})
-	devConn, verConn := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		defer devConn.Close()
-		done <- srv.AttestTo(devConn, Hello{Device: "dev-9", Provider: "oem", TruncID: e.ID.TruncatedID()})
-	}()
-	if _, err := c.AwaitHello(verConn); err != nil {
-		t.Fatalf("await hello: %v", err)
+	for _, tr := range transports {
+		pol := &testPolicy{refusal: "device quarantined"}
+		devErr, verErr := tr.run(srv, c, pol, Hello{Device: "dev-9", Provider: "oem", TruncID: e.ID.TruncatedID()})
+		if verErr != nil {
+			t.Fatalf("%s: verifier %v", tr.name, verErr)
+		}
+		if !errors.Is(devErr, ErrRefused) {
+			t.Fatalf("%s: device err = %v, want ErrRefused", tr.name, devErr)
+		}
+		if !strings.Contains(devErr.Error(), "quarantined") {
+			t.Errorf("%s: refusal reason lost: %v", tr.name, devErr)
+		}
+		if pol.decided {
+			t.Errorf("%s: refused session reached Decide", tr.name)
+		}
 	}
-	if err := c.Refuse(verConn, "device quarantined"); err != nil {
-		t.Fatalf("refuse: %v", err)
+}
+
+// TestAttestToBadQuoteNeverPasses: a quote whose MAC does not verify
+// under the verifier's key is failed even by a policy that would pass
+// it, and the verifier reports the MAC error.
+func TestAttestToBadQuoteNeverPasses(t *testing.T) {
+	p, e := devicePlatform(t)
+	srv := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{})
+	wrongKey := NewClient(trusted.NewVerifier([]byte("not the platform key"), "oem"), "oem", ClientOptions{})
+	for _, tr := range transports {
+		pol := &testPolicy{nonce: 5, pass: true}
+		devErr, verErr := tr.run(srv, wrongKey, pol, Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID()})
+		if !errors.Is(devErr, ErrDenied) {
+			t.Fatalf("%s: device err = %v, want ErrDenied", tr.name, devErr)
+		}
+		if !errors.Is(verErr, trusted.ErrQuoteInvalid) || !errors.Is(pol.err, trusted.ErrQuoteInvalid) {
+			t.Fatalf("%s: verifier err = %v, policy saw %v; want ErrQuoteInvalid", tr.name, verErr, pol.err)
+		}
 	}
-	verConn.Close()
-	err := <-done
-	if !errors.Is(err, ErrRefused) {
-		t.Fatalf("device err = %v, want ErrRefused", err)
+}
+
+// TestDirectFrameLimits: the in-process transport enforces both sides'
+// frame limits like a socket. A hello over the device's own limit never
+// leaves the device; a challenge over the device's limit fails the
+// session on the device, and the verifier, seeing the link drop, fails
+// the exchange.
+func TestDirectFrameLimits(t *testing.T) {
+	p, e := devicePlatform(t)
+	c := oemClient(p, ClientOptions{})
+	long := Hello{Device: strings.Repeat("d", 40), Provider: "oem", TruncID: e.ID.TruncatedID()}
+
+	tiny := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{MaxFrame: 16})
+	pol := &testPolicy{pass: true}
+	devErr, verErr := directSession(tiny, c, pol, long)
+	if !errors.Is(devErr, ErrFrameTooLarge) {
+		t.Fatalf("oversize hello: device err = %v, want ErrFrameTooLarge", devErr)
 	}
-	if !strings.Contains(err.Error(), "quarantined") {
-		t.Errorf("refusal reason lost: %v", err)
+	if verErr == nil || pol.hello.Device != "" {
+		t.Fatalf("oversize hello reached the verifier: err=%v hello=%+v", verErr, pol.hello)
+	}
+
+	// 64 bytes carry the hello but not the challenge (provider, trunc
+	// and nonce plus a long provider name).
+	c = NewClient(trusted.NewVerifier(nil, strings.Repeat("p", 80)), strings.Repeat("p", 80), ClientOptions{})
+	small := NewServer(ComponentsAttestor{C: p.C}, ServerOptions{MaxFrame: 64})
+	pol = &testPolicy{pass: true}
+	devErr, verErr = directSession(small, c, pol, Hello{Device: "dev-0", Provider: "oem"})
+	if !errors.Is(devErr, ErrFrameTooLarge) {
+		t.Fatalf("oversize challenge: device err = %v, want ErrFrameTooLarge", devErr)
+	}
+	if !pol.decided || pol.err == nil || verErr == nil {
+		t.Fatalf("oversize challenge: decided=%v policy err=%v verifier err=%v", pol.decided, pol.err, verErr)
 	}
 }
 

@@ -39,6 +39,45 @@ func TestServeOneTimesOutOnSilentClient(t *testing.T) {
 	}
 }
 
+// TestVerifierSessionTimesOut: a verifier session served over a conn
+// bounds each frame by the client's Timeout. A device silent before its
+// hello ends the session unopened; one that goes silent after the
+// challenge has its exchange failed through the policy, like a bad
+// quote.
+func TestVerifierSessionTimesOut(t *testing.T) {
+	p, e := devicePlatform(t)
+	c := oemClient(p, ClientOptions{Timeout: 50 * time.Millisecond})
+
+	devConn, verConn := net.Pipe()
+	v := c.NewSession(&testPolicy{})
+	if err := v.Serve(verConn); !errors.Is(err, ErrTimeout) || v.Opened() {
+		t.Fatalf("silent device: err = %v, opened = %v; want ErrTimeout, unopened", err, v.Opened())
+	}
+	devConn.Close()
+	verConn.Close()
+
+	devConn, verConn = net.Pipe()
+	defer devConn.Close()
+	defer verConn.Close()
+	pol := &testPolicy{nonce: 3, pass: true}
+	done := make(chan error, 1)
+	go func() { done <- c.NewSession(pol).Serve(verConn) }()
+	hello, _ := marshalHello(Hello{Device: "dev-0", Provider: "oem", TruncID: e.ID.TruncatedID()})
+	if err := writeFrame(devConn, DefaultMaxFrame, MsgHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(devConn, DefaultMaxFrame); err != nil || typ != MsgChallenge {
+		t.Fatalf("challenge: type %d, %v", typ, err)
+	}
+	// The device never quotes and never reads the verdict.
+	if err := <-done; !errors.Is(err, ErrTimeout) {
+		t.Fatalf("stalled device: err = %v, want ErrTimeout", err)
+	}
+	if !pol.decided || !errors.Is(pol.err, ErrTimeout) {
+		t.Fatalf("policy: decided = %v, err = %v; want a failed exchange", pol.decided, pol.err)
+	}
+}
+
 // TestServeConnPersistent: several exchanges on one connection, then a
 // clean shutdown.
 func TestServeConnPersistent(t *testing.T) {

@@ -15,7 +15,8 @@ import (
 // value is ready: default deadline, default error budget, default frame
 // limit, no stats.
 type ServerOptions struct {
-	// Timeout bounds each exchange's I/O (0 = DefaultIOTimeout).
+	// Timeout bounds each exchange's I/O, and each frame's I/O on a
+	// Conn transport (0 = DefaultIOTimeout).
 	Timeout time.Duration
 	// ErrorBudget is how many protocol errors (malformed frames, bad
 	// challenges) one persistent connection may produce before it is
@@ -74,36 +75,37 @@ func (s *Server) Options() ServerOptions { return s.opt }
 // ServeOne handles a single challenge/response exchange on conn under
 // the server's I/O deadline.
 func (s *Server) ServeOne(conn net.Conn) error {
-	return withDeadline(conn, s.opt.Timeout, func() error { return s.serveExchange(conn) })
+	return withDeadline(conn, s.opt.Timeout, func() error {
+		return s.serveExchange(connTransport{conn: conn, max: s.opt.MaxFrame})
+	})
 }
 
-// serveExchange is one challenge/response exchange (no deadline
-// handling; the callers wrap it).
-func (s *Server) serveExchange(conn net.Conn) error {
-	typ, payload, err := readFrame(conn, s.opt.MaxFrame)
+// serveExchange is one challenge/response exchange on t.
+func (s *Server) serveExchange(t Transport) error {
+	typ, payload, err := t.Recv()
 	if err != nil {
 		return err
 	}
 	if typ != MsgChallenge {
-		writeFrame(conn, s.opt.MaxFrame, MsgError, []byte("expected challenge"))
+		t.Send(MsgError, []byte("expected challenge"))
 		return fmt.Errorf("%w: type %d", ErrBadMessage, typ)
 	}
 	ch, err := unmarshalChallenge(payload)
 	if err != nil {
-		writeFrame(conn, s.opt.MaxFrame, MsgError, []byte("bad challenge"))
+		t.Send(MsgError, []byte("bad challenge"))
 		return err
 	}
-	return s.answer(conn, ch)
+	return s.answer(t, ch)
 }
 
-// answer quotes the challenged task and writes the reply frame.
-func (s *Server) answer(conn net.Conn, ch Challenge) error {
+// answer quotes the challenged task and sends the reply frame.
+func (s *Server) answer(t Transport, ch Challenge) error {
 	q, err := s.att.QuoteByTruncID(ch.Provider, ch.TruncID, ch.Nonce)
 	if err != nil {
-		writeFrame(conn, s.opt.MaxFrame, MsgError, []byte(err.Error()))
+		t.Send(MsgError, []byte(err.Error()))
 		return nil // the protocol handled it; not a server failure
 	}
-	return writeFrame(conn, s.opt.MaxFrame, MsgQuote, q.Marshal())
+	return t.Send(MsgQuote, q.Marshal())
 }
 
 // ServeConn answers challenges on a persistent connection until the
@@ -160,45 +162,36 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// AttestTo runs a device-initiated session on conn: send the hello,
+// Conn returns a transport that frames this server's messages over
+// conn under its MaxFrame, bounding each frame's I/O by its Timeout —
+// the transport AttestTo takes for a verifier plane across a network.
+func (s *Server) Conn(conn net.Conn) Transport {
+	return connTransport{conn: conn, max: s.opt.MaxFrame, timeout: s.opt.Timeout}
+}
+
+// Direct returns the in-process transport to verifier session v: every
+// frame AttestTo sends is encoded under this server's MaxFrame, decoded
+// under the verifier's and stepped through v in the caller's goroutine,
+// and v's reply comes back the same way. The caller closes v once
+// AttestTo returns.
+func (s *Server) Direct(v *VerifierSession) Transport {
+	d := &direct{v: v}
+	d.up.sendMax, d.up.recvMax = s.opt.MaxFrame, v.c.opt.MaxFrame
+	d.down.sendMax, d.down.recvMax = v.c.opt.MaxFrame, s.opt.MaxFrame
+	return d
+}
+
+// AttestTo runs a device-initiated session over t: send the hello,
 // answer the verifier plane's challenge, and wait for its verdict. A
 // plane that refuses the hello (MsgError) surfaces as ErrRefused; a
 // failed appraisal (MsgVerdict fail) as ErrDenied — both wrapping the
 // plane's reason. Waiting for the verdict keeps the session synchronous
 // end to end: when AttestTo returns, the plane has recorded the
 // outcome, so the device's next session sees its up-to-date standing.
-func (s *Server) AttestTo(conn net.Conn, h Hello) error {
+func (s *Server) AttestTo(t Transport, h Hello) error {
 	start := s.now()
 	s.emitSession(h, start, trace.Str("phase", "hello"), trace.Str("provider", h.Provider))
-	err := withDeadline(conn, s.opt.Timeout, func() error {
-		payload, err := marshalHello(h)
-		if err != nil {
-			return err
-		}
-		if err := writeFrame(conn, s.opt.MaxFrame, MsgHello, payload); err != nil {
-			return err
-		}
-		typ, resp, err := readFrame(conn, s.opt.MaxFrame)
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case MsgChallenge:
-			ch, err := unmarshalChallenge(resp)
-			if err != nil {
-				writeFrame(conn, s.opt.MaxFrame, MsgError, []byte("bad challenge"))
-				return err
-			}
-			if err := s.answer(conn, ch); err != nil {
-				return err
-			}
-			return s.awaitVerdict(conn)
-		case MsgError:
-			return fmt.Errorf("%w: %s", ErrRefused, resp)
-		default:
-			return fmt.Errorf("%w: type %d", ErrBadMessage, typ)
-		}
-	})
+	err := s.attest(t, h)
 	end := s.now()
 	switch {
 	case err == nil:
@@ -215,6 +208,37 @@ func (s *Server) AttestTo(conn net.Conn, h Hello) error {
 			trace.Num("e2e", end-start))
 	}
 	return err
+}
+
+// attest is AttestTo's exchange.
+func (s *Server) attest(t Transport, h Hello) error {
+	payload, err := marshalHello(h)
+	if err != nil {
+		return err
+	}
+	if err := t.Send(MsgHello, payload); err != nil {
+		return err
+	}
+	typ, resp, err := t.Recv()
+	if err != nil {
+		return err
+	}
+	switch typ {
+	case MsgChallenge:
+		ch, err := unmarshalChallenge(resp)
+		if err != nil {
+			t.Send(MsgError, []byte("bad challenge"))
+			return err
+		}
+		if err := s.answer(t, ch); err != nil {
+			return err
+		}
+		return awaitVerdict(t)
+	case MsgError:
+		return fmt.Errorf("%w: %s", ErrRefused, resp)
+	default:
+		return fmt.Errorf("%w: type %d", ErrBadMessage, typ)
+	}
 }
 
 // now samples the simulated cycle counter for session events (0 when
@@ -241,8 +265,8 @@ func (s *Server) emitSession(h Hello, cycle uint64, attrs ...trace.Attr) {
 }
 
 // awaitVerdict reads the session-closing verdict frame.
-func (s *Server) awaitVerdict(conn net.Conn) error {
-	typ, v, err := readFrame(conn, s.opt.MaxFrame)
+func awaitVerdict(t Transport) error {
+	typ, v, err := t.Recv()
 	if err != nil {
 		return err
 	}
