@@ -19,12 +19,13 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
-	"repro/internal/analyze"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/remote"
@@ -150,18 +151,20 @@ func DeviceName(idx int) string { return fmt.Sprintf("dev-%04d", idx) }
 
 // deviceResult is one device's view of its rounds.
 type deviceResult struct {
-	name      string
-	variant   int
-	faulty    bool
-	ok        int      // sessions whose verdict came back pass
-	denied    int      // sessions whose verdict came back fail
-	refused   int      // hellos refused at the door
-	errored   int      // transport/protocol failures
-	durations []uint64 // attest round-trip spans, device cycles
-	e2e       []uint64 // session end-to-end spans (hello→verdict), device cycles
-	events    []trace.Event
-	recorder  *Recorder // flight recorder (Telemetry.FlightSize only)
-	err       error     // fatal setup failure
+	name     string
+	variant  int
+	faulty   bool
+	ok       int      // sessions whose verdict came back pass
+	denied   int      // sessions whose verdict came back fail
+	refused  int      // hellos refused at the door
+	errored  int      // transport/protocol failures
+	rtt      []uint64 // attest round-trip spans, device cycles
+	e2e      []uint64 // session end-to-end spans (hello→verdict), device cycles
+	events   []trace.Event
+	sessions []Session  // session records (Telemetry.Timeline/Metrics only)
+	lane     trace.Lane // the device's timeline lane (likewise)
+	recorder *Recorder  // flight recorder (Telemetry.FlightSize only)
+	err      error      // fatal setup failure
 }
 
 // Result is a completed fleet run.
@@ -249,9 +252,11 @@ func run(cfg Config, attest attestFunc) (*Result, error) {
 	for i := 0; i < cfg.Devices; i++ {
 		reg.Register(DeviceName(i))
 	}
+	// Plane events are only read as part of the collected stream and
+	// the telemetry built from it.
 	var planeBuf *trace.Buffer
 	var planeSink trace.Sink
-	if cfg.Observe {
+	if cfg.CollectEvents {
 		planeBuf = new(trace.Buffer)
 		planeSink = planeBuf
 	}
@@ -293,52 +298,68 @@ func run(cfg Config, attest attestFunc) (*Result, error) {
 
 	res := &Result{Plane: plane}
 	res.Report = buildReport(cfg, plane, results)
-	var planeEvents []trace.Event
-	if planeBuf != nil {
-		planeEvents = planeBuf.Events()
-		sort.SliceStable(planeEvents, func(i, j int) bool {
-			if planeEvents[i].Subject != planeEvents[j].Subject {
-				return planeEvents[i].Subject < planeEvents[j].Subject
-			}
-			return planeEvents[i].Cycle < planeEvents[j].Cycle
-		})
+	if !cfg.CollectEvents {
+		return res, nil
 	}
-	if cfg.CollectEvents {
-		for i := range results {
-			res.Events = append(res.Events, results[i].events...)
+	planeEvents := planeBuf.Events()
+	slices.SortStableFunc(planeEvents, func(a, b trace.Event) int {
+		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+			return c
 		}
-		res.Events = append(res.Events, planeEvents...)
+		return cmp.Compare(a.Cycle, b.Cycle)
+	})
+	n := len(planeEvents)
+	for i := range results {
+		n += len(results[i].events)
 	}
+	res.Events = make([]trace.Event, 0, n)
+	for i := range results {
+		res.Events = append(res.Events, results[i].events...)
+	}
+	res.Events = append(res.Events, planeEvents...)
 	if cfg.Telemetry.enabled() {
-		tel := &Telemetry{}
-		if cfg.Telemetry.Timeline || cfg.Telemetry.Metrics {
-			streams := make([]NamedEvents, 0, len(results))
-			for i := range results {
-				streams = append(streams, NamedEvents{Name: results[i].name, Events: results[i].events})
-			}
-			tl := BuildTimeline(streams, planeEvents)
-			if cfg.Telemetry.Timeline {
-				tel.Timeline = tl
-			}
-			if cfg.Telemetry.Metrics {
-				// Feed the deterministic session-duration histogram from
-				// the device-side telemetry; histograms never feed back
-				// into the report or the event stream.
-				plane.ObserveSessionCycles(tl.E2E())
-				tel.Metrics = plane.Metrics()
+		res.Telemetry = assemble(cfg, plane, results, planeEvents)
+	}
+	return res, nil
+}
+
+// assemble builds the telemetry products: the per-device halves were
+// laid out in the device goroutines, so this serial step only
+// correlates the plane's decisions (sorted by device, then ordinal)
+// with them.
+func assemble(cfg Config, plane *Plane, results []deviceResult, planeEvents []trace.Event) *Telemetry {
+	tel := &Telemetry{}
+	runs := planeRuns(planeEvents, subjectIndex(results))
+	if cfg.Telemetry.Timeline || cfg.Telemetry.Metrics {
+		tl := buildTimeline(results, runs)
+		if cfg.Telemetry.Timeline {
+			tel.Timeline = tl
+		}
+		if cfg.Telemetry.Metrics {
+			// Feed the deterministic session-duration histogram from
+			// the device-side telemetry; histograms never feed back
+			// into the report or the event stream.
+			plane.ObserveSessionCycles(tl.E2E())
+			tel.Metrics = plane.Metrics()
+		}
+	}
+	if cfg.Telemetry.FlightSize > 0 {
+		decisions := make([][]trace.Event, len(results))
+		for _, r := range runs {
+			if r.device >= 0 && r.events[0].Subject == results[r.device].name {
+				decisions[r.device] = r.events
 			}
 		}
 		for i := range results {
 			if results[i].recorder == nil {
 				continue
 			}
-			if inc, ok := results[i].recorder.Incident(planeEvents); ok {
+			if inc, ok := results[i].recorder.Incident(decisions[i]); ok {
 				tel.Incidents = append(tel.Incidents, inc)
 			}
 		}
-		res.Telemetry = tel
 	}
-	return res, nil
+	return tel
 }
 
 // runDevice boots one simulated device, loads its firmware build im,
@@ -356,9 +377,11 @@ func runDevice(cfg Config, idx, variant int, faulty bool, im *telf.Image,
 
 	att := remote.Attestor(remote.ComponentsAttestor{C: p.C})
 	var obs *core.Obs
+	var log *sessionLog
 	var srvOpts remote.ServerOptions
 	if cfg.Observe {
-		var extra []trace.Sink
+		log = newSessionLog(cfg.Rounds, cfg.Telemetry.Timeline || cfg.Telemetry.Metrics)
+		extra := []trace.Sink{log}
 		if cfg.Telemetry.FlightSize > 0 {
 			res.recorder = NewRecorder(res.name, cfg.Telemetry.FlightSize)
 			extra = append(extra, res.recorder)
@@ -408,11 +431,13 @@ func runDevice(cfg Config, idx, variant int, faulty bool, im *telf.Image,
 	}
 
 	if obs != nil {
-		a := analyze.Analyze(obs.Events())
-		res.durations = a.Durations(analyze.ClassAttest)
-		res.e2e = a.Durations(analyze.ClassSession)
+		res.rtt, res.e2e = log.rtt, log.e2e
 		if cfg.CollectEvents {
 			res.events = obs.Events()
+		}
+		if log.track {
+			res.sessions = log.sessions
+			res.lane = deviceLane(res.name, res.events, log.sessions)
 		}
 	}
 	return res

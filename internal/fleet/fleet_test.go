@@ -238,6 +238,17 @@ func pipeAttest(p *Plane, srv *remote.Server, h remote.Hello) error {
 	return err
 }
 
+// stranger wraps attest so device 5's third hello claims the
+// unregistered name "dev-stranger".
+func stranger(attest attestFunc) attestFunc {
+	return func(p *Plane, srv *remote.Server, h remote.Hello) error {
+		if h.Device == DeviceName(5) && h.Session == 2 {
+			h.Device = "dev-stranger"
+		}
+		return attest(p, srv, h)
+	}
+}
+
 // TestTransportDifferential: the in-process farm path and the network
 // path (net.Pipe + HandleConn) run the same session state machine, so
 // one seed renders byte-identical reports and event streams over both —
@@ -247,14 +258,6 @@ func TestTransportDifferential(t *testing.T) {
 	cfg := Config{
 		Devices: 16, Rounds: 4, Shards: 4, Listeners: 3, Seed: 11,
 		Variants: 3, Faulty: 2, MaxFailures: 2, CollectEvents: true,
-	}
-	stranger := func(attest attestFunc) attestFunc {
-		return func(p *Plane, srv *remote.Server, h remote.Hello) error {
-			if h.Device == DeviceName(5) && h.Session == 2 {
-				h.Device = "dev-stranger"
-			}
-			return attest(p, srv, h)
-		}
 	}
 	direct, err := run(cfg, stranger((*Plane).attest))
 	if err != nil {

@@ -89,10 +89,10 @@ type Incident struct {
 	Plane   []trace.Event // the plane's decisions about this device
 }
 
-// Incident extracts the frozen incident, attaching the plane's
-// decisions about this device from the given (already sorted) plane
-// stream. ok is false when the recorder never tripped.
-func (r *Recorder) Incident(plane []trace.Event) (inc Incident, ok bool) {
+// Incident extracts the frozen incident, attaching decisions: the
+// plane's decisions about this device, in plane order. ok is false when
+// the recorder never tripped.
+func (r *Recorder) Incident(decisions []trace.Event) (inc Incident, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.trigger == "" {
@@ -103,11 +103,7 @@ func (r *Recorder) Incident(plane []trace.Event) (inc Incident, ok bool) {
 		Trigger: r.trigger,
 		Cycle:   r.cycle,
 		Window:  append([]trace.Event(nil), r.window...),
-	}
-	for _, e := range plane {
-		if e.Subject == r.device {
-			inc.Plane = append(inc.Plane, e)
-		}
+		Plane:   decisions,
 	}
 	return inc, true
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,7 +83,7 @@ func buildReport(cfg Config, plane *Plane, results []deviceResult) Report {
 	var pooled, pooledE2E []uint64
 	for i := range results {
 		r := &results[i]
-		pooled = append(pooled, r.durations...)
+		pooled = append(pooled, r.rtt...)
 		pooledE2E = append(pooledE2E, r.e2e...)
 		d, _ := plane.Registry().Lookup(r.name)
 		if d.Failures > 0 || d.Refusals > 0 || r.denied > 0 || r.refused > 0 || r.errored > 0 {
@@ -96,9 +97,9 @@ func buildReport(cfg Config, plane *Plane, results []deviceResult) Report {
 	sort.Slice(rep.Anomalies, func(i, j int) bool {
 		return rep.Anomalies[i].Name < rep.Anomalies[j].Name
 	})
-	sort.Slice(pooled, func(i, j int) bool { return pooled[i] < pooled[j] })
+	slices.Sort(pooled)
 	rep.AttestRTT = analyze.Summarize(pooled)
-	sort.Slice(pooledE2E, func(i, j int) bool { return pooledE2E[i] < pooledE2E[j] })
+	slices.Sort(pooledE2E)
 	rep.SessionE2E = analyze.Summarize(pooledE2E)
 	return rep
 }

@@ -25,6 +25,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -159,7 +160,10 @@ func ParseKind(s string) (Kind, error) {
 // KindSession events and plane-side KindFleet events both resolve to
 // this key, which is what joins the two time domains.
 func SessionKey(device string, ordinal uint64) string {
-	return fmt.Sprintf("%s#%d", device, ordinal)
+	var buf [48]byte
+	b := append(buf[:0], device...)
+	b = append(b, '#')
+	return string(strconv.AppendUint(b, ordinal, 10))
 }
 
 // Attr is one structured event attribute: a key with either a string or

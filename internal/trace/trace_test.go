@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -201,10 +202,10 @@ func TestRegistryPrometheus(t *testing.T) {
 
 func TestParsePrometheusRejects(t *testing.T) {
 	for _, bad := range []string{
-		"orphan 1",                          // sample without TYPE header
-		"# TYPE x counter\nx notanumber",    // bad value
-		"# TYPE x counter\nx 1\nx 2",        // duplicate
-		"# TYPE x counter\nnovaluehere",     // no value separator
+		"orphan 1",                       // sample without TYPE header
+		"# TYPE x counter\nx notanumber", // bad value
+		"# TYPE x counter\nx 1\nx 2",     // duplicate
+		"# TYPE x counter\nnovaluehere",  // no value separator
 	} {
 		if _, err := ParsePrometheus(strings.NewReader(bad)); err == nil {
 			t.Errorf("%q accepted", bad)
@@ -248,5 +249,26 @@ func TestBuildProfile(t *testing.T) {
 	}
 	if s := p.String(); !strings.Contains(s, "t0") || !strings.Contains(s, "alloc") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestSessionKeyFormat pins the correlation key's bytes: device name,
+// '#', decimal ordinal — whatever the name contains.
+func TestSessionKeyFormat(t *testing.T) {
+	for _, c := range []struct {
+		device  string
+		ordinal uint64
+		want    string
+	}{
+		{"dev-0042", 0, "dev-0042#0"},
+		{"dev-0042", 3, "dev-0042#3"},
+		{"dev-0042", math.MaxUint64, "dev-0042#18446744073709551615"},
+		{"dev#7", 12, "dev#7#12"},
+		{"", 1, "#1"},
+		{strings.Repeat("d", 64), 5, strings.Repeat("d", 64) + "#5"},
+	} {
+		if got := SessionKey(c.device, c.ordinal); got != c.want {
+			t.Errorf("SessionKey(%q, %d) = %q, want %q", c.device, c.ordinal, got, c.want)
+		}
 	}
 }
