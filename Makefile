@@ -91,10 +91,11 @@ bounds-check:
 # fleet-telemetry and resource-bound gates.
 check: build vet lint race chaos trace-check slo-check bench-check scenario-check fleet-check fleet-trace-check bounds-check
 
-# bench runs the paper-table benchmarks, the layer micro-benchmarks
-# (ns/op, B/op, allocs/op) and the latency scenario.
+# bench runs the paper-table benchmarks and the secure-load op
+# (BenchmarkSecureLoad), the layer micro-benchmarks (ns/op, B/op,
+# allocs/op) and the latency scenario.
 bench:
-	$(GO) test -bench=. -benchtime=10x -run=^$$ .
+	$(GO) test -bench=. -benchtime=10x -benchmem -run=^$$ .
 	$(GO) test -bench=FleetTelemetry -benchmem -run=^$$ ./internal/fleet/
 	$(GO) run ./cmd/tytan-bench -latency-json BENCH_latency.json
 

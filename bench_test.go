@@ -13,6 +13,7 @@
 //	BenchmarkTable7Measurement    Table 7
 //	BenchmarkTable8Memory         Table 8
 //	BenchmarkIPCRoundTrip         §6 "Secure IPC"
+//	BenchmarkSecureLoad           Table 1 load on a strict-verify platform
 //	BenchmarkAblation*            design-choice ablations (DESIGN.md)
 //
 // ns/op measures host simulation speed and is not a paper quantity; the
@@ -23,7 +24,9 @@ import (
 	"testing"
 
 	"repro/internal/benchlab"
+	"repro/internal/core"
 	"repro/internal/firmware"
+	"repro/internal/telf"
 )
 
 func BenchmarkTable1UseCase(b *testing.B) {
@@ -48,6 +51,54 @@ func BenchmarkTable1UseCase(b *testing.B) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(insns)/s/1e6, "host-mips")
 	}
+}
+
+// BenchmarkSecureLoad is one op of the repository benchmark's
+// secure-load workload: the Table 1 cruise-control scenario on a fresh
+// platform with the strict verification gate and bounds admission on —
+// t0 and t1 loaded synchronously, 64 ticks, t2 loaded asynchronously
+// while both keep running, 64 more ticks. Its ns/op and B/op are the
+// host cost of TyTAN's load path (admission, copy, relocation, RTM
+// SHA-1, EA-MPU setup) and of the context switches around it.
+func BenchmarkSecureLoad(b *testing.B) {
+	const period = 31_200 // the use case's activation period
+	const window = 64 * core.DefaultTickPeriod
+	t0 := benchlab.UseCaseTaskImage(1, period)
+	t0.Name = "t0"
+	t1 := benchlab.UseCaseTaskImage(2, period)
+	t1.Name = "t1"
+	t2 := benchlab.UseCaseT2Image(3, period)
+	b.ReportAllocs()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		p, err := core.NewPlatform(core.Options{StrictVerify: true, BoundsAdmission: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, im := range []*telf.Image{t0, t1} {
+			if _, _, err := p.LoadTaskSync(im, core.Secure, 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := p.Run(window); err != nil {
+			b.Fatal(err)
+		}
+		req := p.LoadTaskAsync(t2, core.Secure, 4)
+		for start := p.Cycles(); !req.Done() && p.Cycles() < start+100*window; {
+			if err := p.Run(core.DefaultTickPeriod); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !req.Done() || req.Err() != nil {
+			b.Fatalf("t2 load: done=%v err=%v", req.Done(), req.Err())
+		}
+		if err := p.Run(window); err != nil {
+			b.Fatal(err)
+		}
+		cycles = p.Cycles()
+		p.Close()
+	}
+	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
 func BenchmarkTable2ContextSave(b *testing.B) {

@@ -1,6 +1,7 @@
 package benchlab
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/loader"
+	"repro/internal/machine"
 	"repro/internal/rtos"
 	"repro/internal/sha1"
 	"repro/internal/sverify"
@@ -256,6 +258,13 @@ func UpdateScenarios() []Scenario {
 			Run:   scenarioBoundedTaskAdmission,
 		},
 		{
+			Name:  "forged-sp-isolation",
+			Gloss: "normal tasks forging SP at a secure task's code, a device page and low memory are killed with typed faults; the victim keeps its deadline and identity",
+			// One refused exception-frame push per rogue, nothing else.
+			SLO: "deadline_miss == 0\neampu_violation == 3",
+			Run: scenarioForgedSPIsolation,
+		},
+		{
 			Name:  "fleet-attestation-sweep",
 			Gloss: "12-device fleet sweep; the one faulty device is quarantined mid-run, the rest attest every round",
 			// One plane verdict/refusal per session, bounded device-side
@@ -384,6 +393,103 @@ func scenarioFleetSweep(e *ScenarioEnv) error {
 		bad.Name, bad.Failures, bad.Refusals)
 	e.Notef("%d sessions: %d attested, %d rejected, %d refused; cache %d hits / %d misses",
 		rep.Sessions, rep.Attested, rep.Rejected, rep.Refused, rep.CacheHits, rep.CacheMisses)
+	return nil
+}
+
+// forgedSPRogueSrc is a normal task that points its stack pointer at
+// sp and then either sleeps (the kernel's software-initiated frame
+// push) or spins until the tick interrupts it (the exception engine's
+// push).
+func forgedSPRogueSrc(name string, sp uint32, viaIRQ bool) string {
+	tail := "    ldi32 r0, 1000\n    svc 2\n    jmp main\n"
+	if viaIRQ {
+		tail = "spin:\n    jmp spin\n"
+	}
+	return fmt.Sprintf(".task %q\n.entry main\n.stack 128\n.bss 28\n.text\nmain:\n    ldi32 r7, %#x\n%s", name, sp, tail)
+}
+
+// scenarioForgedSPIsolation: a secure app runs under a deadline while
+// three unprivileged (normal) tasks forge their stack pointers — at the
+// app's first code word, at the engine actuator's command register and
+// at unmapped low memory — and are then suspended, half through a
+// syscall and half through the timer tick (alternating by seed). The
+// exception-frame push is a checked store in the rogue's own protection
+// context, so each rogue must die with a fault exit naming the refused
+// address while the run itself never errors; the app's code stays
+// bit-identical, no actuator command lands, the app keeps its deadline
+// and still attests to its load-time identity.
+func scenarioForgedSPIsolation(e *ScenarioEnv) error {
+	if err := e.boot(core.Options{}); err != nil {
+		return err
+	}
+	app, identity, err := e.load(appV1Src, 3)
+	if err != nil {
+		return err
+	}
+	if err := e.P.RegisterDeadline(app.ID, 8*core.DefaultTickPeriod); err != nil {
+		return err
+	}
+	code := app.Placement.Base
+	text, err := e.P.M.ReadBytes(code, uint32(len(app.Placement.Image.Text)))
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < 3+e.Seed%5; i++ {
+		if err := e.P.Run(chaosSlice); err != nil {
+			return err
+		}
+	}
+	targets := []struct {
+		name string
+		sp   uint32
+	}{
+		{"rogue-code", code + 4},
+		{"rogue-mmio", machine.DeviceAddr(machine.PageEngine) + 8},
+		{"rogue-low", 8},
+	}
+	rogues := make([]*rtos.TCB, len(targets))
+	for i, tg := range targets {
+		viaIRQ := (uint64(i)+e.Seed)%2 == 0
+		im, err := asm.Assemble(forgedSPRogueSrc(tg.name, tg.sp, viaIRQ))
+		if err != nil {
+			return err
+		}
+		if rogues[i], _, err = e.P.LoadTaskSync(im, core.Normal, 2); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if err := e.P.Run(chaosSlice); err != nil {
+			return fmt.Errorf("run with forged stack pointers: %w", err)
+		}
+	}
+	for i, r := range rogues {
+		rec, dead := e.P.K.ExitInfo(r.ID)
+		if !dead {
+			return fmt.Errorf("%s survived forging its stack pointer", r.Name)
+		}
+		if want := targets[i].sp - 4; rec.Reason.Cause != rtos.ExitFault || rec.Reason.FaultAddr != want {
+			return fmt.Errorf("%s exit = %v, want a fault at %#x", r.Name, rec.Reason, want)
+		}
+		e.Notef("%s: %s", r.Name, rec.Reason)
+	}
+	after, err := e.P.M.ReadBytes(code, uint32(len(text)))
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(text, after) {
+		return errors.New("app code modified by a forged exception frame")
+	}
+	if n := len(e.P.Engine.Commands()); n != 0 {
+		return fmt.Errorf("%d actuator commands landed, want 0", n)
+	}
+	if !e.alive(app.ID) {
+		return errors.New("app died")
+	}
+	if err := e.attest(app.ID, identity, e.Seed); err != nil {
+		return fmt.Errorf("app attestation after the attack: %w", err)
+	}
+	e.Notef("app code intact, 0 actuator commands, identity attests after %d activations", app.Activations)
 	return nil
 }
 

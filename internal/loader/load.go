@@ -240,20 +240,26 @@ func (j *Job) Step(budget uint64) (used uint64, err error) {
 		var quantum uint64
 		switch j.phase {
 		case PhaseCopy:
-			if j.pos >= uint32(len(j.blob)) {
+			total := uint32(len(j.blob))
+			if j.pos >= total {
 				j.phase, j.pos = PhaseZero, 0
 				continue
 			}
-			end := j.pos + 4
-			if end > uint32(len(j.blob)) {
-				end = uint32(len(j.blob))
+			// Move every word the remaining budget pays for in one go:
+			// the per-word loop would stop after the first word that
+			// brings used to budget, and always runs at least one.
+			words := (total - j.pos + 3) / 4
+			if used >= budget {
+				words = 1
+			} else if fit := (budget-used-1)/wordCost + 1; fit < uint64(words) {
+				words = uint32(fit)
 			}
-			if err := j.mem.LoadBytes(j.p.Base+j.pos, j.blob[j.pos:end]); err != nil {
-				return used, err
-			}
-			j.pos = end
-			quantum = wordCost
+			n, err := j.copyWords(words)
+			quantum = uint64(n) * wordCost
 			j.copyCost += quantum
+			if err != nil {
+				return used + quantum, err
+			}
 		case PhaseZero:
 			total := j.p.Image.BSSSize
 			if j.pos >= total {
@@ -296,6 +302,36 @@ func (j *Job) Step(budget uint64) (used uint64, err error) {
 			return used, nil
 		}
 	}
+}
+
+// copyWords streams up to words image words (the last may be short)
+// from pos in one LoadBytes and returns how many landed. When the bulk
+// store fails it replays the range word by word, so pos and the count
+// reflect the progress the one-word-per-quantum loop would have made
+// before its first failing word; a failure the replay does not
+// reproduce is still reported, never swallowed.
+func (j *Job) copyWords(words uint32) (uint32, error) {
+	total := uint32(len(j.blob))
+	end := j.pos + 4*words
+	if end > total {
+		end = total
+	}
+	bulkErr := j.mem.LoadBytes(j.p.Base+j.pos, j.blob[j.pos:end])
+	if bulkErr == nil {
+		j.pos = end
+		return words, nil
+	}
+	for n := uint32(0); n < words; n++ {
+		end := j.pos + 4
+		if end > total {
+			end = total
+		}
+		if err := j.mem.LoadBytes(j.p.Base+j.pos, j.blob[j.pos:end]); err != nil {
+			return n, err
+		}
+		j.pos = end
+	}
+	return words, bulkErr
 }
 
 // CopyCost returns the cycles spent streaming the image from flash.

@@ -190,23 +190,36 @@ func (m *Machine) ZeroBytes(addr, n uint32) error {
 	return nil
 }
 
-// CheckedCopy copies n bytes from src to dst through the EA-MPU in the
-// current execution context, 4 bytes at a time (addresses must be
-// word-aligned). Trusted components use it for message delivery so that
-// a misconfigured rule set fails loudly rather than silently bypassing
-// protection.
-func (m *Machine) CheckedCopy(dst, src, n uint32) error {
-	if n%4 != 0 || dst%4 != 0 || src%4 != 0 {
-		return &BusError{Addr: dst, Why: "misaligned copy"}
+// ReadView is the all-or-nothing bulk form of reading [addr, addr+n)
+// with Read32/Read8 in the current execution context: when one EA-MPU
+// decision span allows the whole range — cached, or filled by a
+// non-counting probe — it returns a read-only view aliasing RAM (same
+// contract as RAMView). Otherwise (reference engine, misaligned start,
+// MMIO or beyond RAM, a denied or span-straddling range) it reads,
+// counts and caches nothing and returns ok=false, and the caller runs
+// its per-word loop, which reproduces every fault exactly.
+func (m *Machine) ReadView(addr, n uint32) (view []byte, ok bool) {
+	off, ok := m.bulkSpan(eampu.AccessRead, addr, n)
+	if !ok {
+		return nil, false
 	}
-	for off := uint32(0); off < n; off += 4 {
-		v, err := m.Read32(src + off)
-		if err != nil {
-			return err
-		}
-		if err := m.Write32(dst+off, v); err != nil {
-			return err
-		}
+	return m.ram[off : off+n : off+n], true
+}
+
+// WriteWords is the all-or-nothing bulk form of storing words at addr,
+// addr+4, ... with Write32 in the current execution context: the words
+// land only when one EA-MPU decision span allows the whole range (see
+// ReadView); otherwise nothing is written or counted and it returns
+// false so the caller runs its per-word loop.
+func (m *Machine) WriteWords(addr uint32, words []uint32) bool {
+	n := uint32(len(words)) * 4
+	off, ok := m.bulkSpan(eampu.AccessWrite, addr, n)
+	if !ok {
+		return false
 	}
-	return nil
+	m.noteRAMWrite(int(off), int(n))
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(m.ram[int(off)+i*4:], w)
+	}
+	return true
 }

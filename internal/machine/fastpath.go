@@ -110,7 +110,7 @@ func getRAM(size uint32) []byte {
 var (
 	icachePool  tablePool[icEntry]
 	sbcachePool tablePool[sbEntry]
-	sbPagesPool tablePool[uint32]
+	sbPagesPool tablePool[sbPage]
 )
 
 // tablePool recycles zeroed tables of one element type.
@@ -136,6 +136,13 @@ func (tp *tablePool[T]) put(t []T) {
 	}
 }
 
+// putZeroed pools t, which the caller has already zeroed.
+func (tp *tablePool[T]) putZeroed(t []T) {
+	if t != nil {
+		tp.p.Put(&t)
+	}
+}
+
 // Release returns the machine's RAM buffer to the pool, zeroed up to
 // the dirty watermark, and its engine caches, zeroed. The machine must
 // not be used afterwards, and the caller must not retain slices
@@ -147,7 +154,11 @@ func (m *Machine) Release() {
 		icachePool.put(m.icache)
 	}
 	sbcachePool.put(m.sbcache)
-	sbPagesPool.put(m.sbPages)
+	if m.sbPagesLo < m.sbPagesHi {
+		// Compiled code sits in a few granules; zero only those.
+		clear(m.sbPages[m.sbPagesLo:min(m.sbPagesHi, uint32(len(m.sbPages)))])
+	}
+	sbPagesPool.putZeroed(m.sbPages)
 	m.icache, m.sbcache, m.sbPages = nil, nil, nil
 	b := m.ram
 	m.ram = nil
@@ -278,14 +289,14 @@ func (m *Machine) noteRAMWrite(off, n int) {
 	last := a + uint32(n) - 1
 	// Compiled superblocks read their text at compile time, not through
 	// the predecode table, so they need their own overlap test: a write
-	// into any granule holding compiled code this generation invalidates
+	// into any word a block compiled this generation covers invalidates
 	// everything. Checked before the icache early-exit below — a block
 	// may cover code the predecode table never saw.
 	if last >= m.sbLo && a <= m.sbHi {
 		g0 := (a - RAMBase) >> sbPageBits
 		g1 := (last - RAMBase) >> sbPageBits
 		for g := g0; g <= g1 && int(g) < len(m.sbPages); g++ {
-			if m.sbPages[g] == m.gen {
+			if p := &m.sbPages[g]; p.gen == m.gen && p.words&granuleWords(g, a, last) != 0 {
 				m.sbInvalidations++
 				m.bumpGen()
 				break
@@ -452,4 +463,39 @@ func (m *Machine) checkData(kind eampu.AccessKind, addr, size uint32) error {
 	cLo, cHi := m.MPU.CodeSpan(pc)
 	*e = dataSpan{gen: m.gen, codeLo: cLo, codeHi: cHi, dataLo: dLo, dataHi: dHi}
 	return nil
+}
+
+// bulkSpan decides a whole-range access for ReadView/WriteWords: the
+// range [addr, addr+n) must be word-aligned at its start, lie in RAM
+// and sit inside one data decision span whose verdict allows kind for
+// the current execution context. A decision-cache miss is filled by a
+// non-counting probe (the sbCheckData discipline) only when the probe
+// allows and its span covers the whole range — then every per-word
+// check would have allowed too, so the bulk access is exactly the
+// per-word loop. Any other outcome leaves the machine untouched.
+func (m *Machine) bulkSpan(kind eampu.AccessKind, addr, n uint32) (off uint32, ok bool) {
+	if !m.FastPath || n == 0 || addr&3 != 0 || addr < RAMBase {
+		return 0, false
+	}
+	off = addr - RAMBase
+	if uint64(off)+uint64(n) > uint64(len(m.ram)) {
+		return 0, false
+	}
+	m.syncMPUGen()
+	pc := m.execPC
+	last := addr + n - 1
+	e := &m.dcache[kind][(pc^addr>>8)*hashMul>>(32-dcacheBits)]
+	if e.gen == m.gen &&
+		e.codeLo <= pc && pc <= e.codeHi &&
+		e.dataLo <= addr && last <= e.dataHi {
+		return off, true
+	}
+	dLo, dHi := m.MPU.DataSpan(addr)
+	if last > dHi || !m.MPU.ProbeData(pc, kind, addr, 1) {
+		return 0, false
+	}
+	m.dataSpanFills++
+	cLo, cHi := m.MPU.CodeSpan(pc)
+	*e = dataSpan{gen: m.gen, codeLo: cLo, codeHi: cHi, dataLo: dLo, dataHi: dHi}
+	return off, true
 }

@@ -171,14 +171,18 @@ type Machine struct {
 
 	// Superblock engine state (superblock.go). sbcache is the compiled-
 	// block table; sbPages marks, per 256-byte RAM granule, the
-	// generation under which compiled code covers the granule, with
-	// sbLo/sbHi bounding the covered address range so ordinary data
-	// writes cost one range check. sbOff is per-op scratch: the RAM
-	// offset a pre-check validated for the op body that follows it.
-	sbcache      []sbEntry
-	sbPages      []uint32
-	sbLo, sbHi   uint32
-	sbOff        uint32
+	// generation under which compiled code covers the granule and the
+	// words it covers, with sbLo/sbHi bounding the covered address
+	// range so ordinary data writes cost one range check. sbOff is
+	// per-op scratch: the RAM offset a pre-check validated for the op
+	// body that follows it.
+	sbcache []sbEntry
+	sbPages []sbPage
+	// sbPagesLo/Hi bound the sbPages entries ever written, [lo, hi), so
+	// Release re-zeroes only those before pooling the table.
+	sbPagesLo, sbPagesHi uint32
+	sbLo, sbHi           uint32
+	sbOff                uint32
 	// ramHi is the dirty-RAM watermark (highest written offset + 1) and
 	// dirty the 4 KiB dirty-page bitmap; Release re-zeroes only dirtied
 	// pages to recycle the buffer.
@@ -469,29 +473,63 @@ func (m *Machine) SetIDTHandler(vector int, handler uint32) error {
 }
 
 // EnterInterrupt performs the hardware part of interrupt delivery for
-// the current CPU context: push EFLAGS and EIP onto the current stack,
-// clear the global interrupt-enable flag, and vector through the IDT.
-// The pushes are performed in the *interrupted code's* protection
-// context, exactly like the exception engine described in §4 (it saves
-// EIP/EFLAGS "to the stack of the interrupted task").
+// the current CPU context: push EFLAGS and EIP onto the current stack
+// (PushExceptionFrame), clear the global interrupt-enable flag, and
+// vector through the IDT.
 //
 // It returns the handler address from the IDT; the software layers above
-// decide how to transfer control there.
+// decide how to transfer control there. A failed push returns its
+// *Fault with interrupts still enabled and SP unchanged: the
+// interrupted code forged a stack pointer, and the kernel retires it.
 func (m *Machine) EnterInterrupt(vector int) (handler uint32, err error) {
 	m.Charge(CostHWException)
-	sp := m.regs[isa.SP]
-	// Hardware pushes bypass the MPU: the exception engine is trusted
-	// silicon. (Software cannot reach this path with a forged SP; the
-	// Int Mux validates the saved frame before any software touches it.)
-	if err := m.RawWrite32(sp-4, m.eflags); err != nil {
-		return 0, &Fault{PC: m.eip, Why: "exception push EFLAGS", Wrap: err}
+	if err := m.PushExceptionFrame(); err != nil {
+		return 0, err
 	}
-	if err := m.RawWrite32(sp-8, m.eip); err != nil {
-		return 0, &Fault{PC: m.eip, Why: "exception push EIP", Wrap: err}
-	}
-	m.regs[isa.SP] = sp - 8
 	m.intEnable = false
 	return m.IDTHandler(vector), nil
+}
+
+// PushExceptionFrame pushes EFLAGS (at SP-4) and then EIP (at SP-8) and
+// lowers SP by 8 — the exception engine's save "to the stack of the
+// interrupted task" (§4). The pushes are checked stores performed in
+// the *interrupted code's* protection context (the instruction that
+// last executed), so a task that points SP at memory it may not write —
+// another task's code, a trusted region, low memory, a device page —
+// cannot make the exception engine write there on its behalf. Device
+// pages are never a stack: a push into MMIO is a bus error, not a
+// device command. On failure SP is unchanged, the returned *Fault
+// names the denied address and is reported on Obs like a CPU fault; a
+// frame whose EFLAGS word landed before the EIP push failed keeps that
+// word, as a real push sequence would.
+func (m *Machine) PushExceptionFrame() error {
+	sp := m.regs[isa.SP]
+	old := m.execPC
+	m.execPC = m.lastPC
+	err := m.pushWord(sp-4, m.eflags)
+	why := "exception push EFLAGS"
+	if err == nil {
+		err = m.pushWord(sp-8, m.eip)
+		why = "exception push EIP"
+	}
+	m.execPC = old
+	if err != nil {
+		f := &Fault{PC: m.eip, Why: why, Wrap: err}
+		if m.Obs != nil {
+			m.emitFault(f)
+		}
+		return f
+	}
+	m.regs[isa.SP] = sp - 8
+	return nil
+}
+
+// pushWord is one checked exception-frame store.
+func (m *Machine) pushWord(addr, v uint32) error {
+	if m.isMMIO(addr) {
+		return &BusError{Addr: addr, Why: "exception push to MMIO"}
+	}
+	return m.Write32(addr, v)
 }
 
 // ReturnFromInterrupt undoes EnterInterrupt's stack frame for the

@@ -54,7 +54,7 @@ func drainCachePools(t *testing.T) {
 		requireZero(t, "compiled-block", *(v.(*[]sbEntry)))
 	}
 	for v := sbPagesPool.p.Get(); v != nil; v = sbPagesPool.p.Get() {
-		requireZero(t, "code-granule", *(v.(*[]uint32)))
+		requireZero(t, "code-granule", *(v.(*[]sbPage)))
 	}
 }
 

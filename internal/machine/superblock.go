@@ -41,8 +41,9 @@ import (
 //     checks are subsumed by the span, as on the fast path.
 //   - Invalidation is the fast path's generation discipline: an EA-MPU
 //     reconfiguration bumps the generation via syncMPUGen, and a write
-//     into any RAM granule holding compiled code bumps it via
-//     noteRAMWrite. A store inside a block re-checks the generation and
+//     overlapping any word a compiled block covers bumps it via
+//     noteRAMWrite (stores that only share a granule with code do not).
+//     A store inside a block re-checks the generation and
 //     splits the block after the store, so self-modifying code sees its
 //     own writes on the very next instruction.
 //
@@ -67,10 +68,38 @@ const (
 	sbMaxOps = 64
 
 	// sbPageBits is the write-protection granule for compiled code
-	// (256 bytes): sbPages records, per granule, the generation whose
-	// compiled blocks cover it.
+	// (256 bytes = 64 words): sbPages records, per granule, the
+	// generation whose compiled blocks cover it and which of its words
+	// they cover.
 	sbPageBits = 8
 )
+
+// sbPage is one granule's compiled-code record: words has bit i set
+// when a block compiled under gen covers the granule's i-th 4-byte
+// word. Stack and data traffic sharing a granule with code but not its
+// words leaves the compiled blocks alone.
+type sbPage struct {
+	gen   uint32
+	words uint64
+}
+
+// granuleWords returns the mask of granule g's words that overlap the
+// inclusive byte range [lo, hi], or 0 when the range misses g.
+func granuleWords(g, lo, hi uint32) uint64 {
+	base := RAMBase + g<<sbPageBits
+	top := base + 1<<sbPageBits - 1
+	if hi < base || lo > top {
+		return 0
+	}
+	if lo < base {
+		lo = base
+	}
+	if hi > top {
+		hi = top
+	}
+	w0, w1 := (lo-base)>>2, (hi-base)>>2
+	return ^uint64(0) >> (63 - w1) &^ (1<<w0 - 1)
+}
 
 // sbStatus is a compiled op's outcome.
 type sbStatus uint8
@@ -120,16 +149,14 @@ type sbEntry struct {
 
 // sbCompileThreshold is the warm-up gate: a PC is interpreted this many
 // times within a generation before its block is compiled. Compilation
-// costs tens of interpreted instructions, and the platform's context
-// switches reconfigure the EA-MPU — bumping the generation and flushing
-// the block cache — every quantum; compiling on first sight makes
-// switch-heavy, short-quantum workloads *slower* than the plain fast
-// path (each block recompiles once per quantum and runs once). Sixteen
-// dispatches-per-generation is enough warm-up that only genuinely hot
-// loops pay the compiler, which keeps the switch-heavy Table 1 use
-// case at fast-path speed while leaving compute-bound kernels (which
-// re-reach the threshold within microseconds of each flush) at full
-// superblock throughput.
+// costs tens of interpreted instructions, and the Table 1 tasks retire
+// only a few instructions per activation between MMIO accesses and
+// SVCs, so most of their PCs run too rarely to repay it. Generations
+// are long-lived — context switches do not touch the EA-MPU, and a
+// secure-load op sees 4 generation bumps (boot and three task loads)
+// against 410 switches — so sixteen dispatches per generation means
+// only genuinely hot PCs pay the compiler, while compute-bound kernels
+// reach full superblock throughput within microseconds.
 const sbCompileThreshold = 16
 
 // stepBlock tries to execute one compiled block at EIP. ok=false means
@@ -328,8 +355,8 @@ func (m *Machine) compileBlock(start uint32) *superblock {
 	return sb
 }
 
-// markCompiled records that [lo, hi] holds compiled code this
-// generation, so noteRAMWrite can invalidate on overlap.
+// markCompiled records that the words of [lo, hi] hold compiled code
+// this generation, so noteRAMWrite can invalidate on overlap.
 func (m *Machine) markCompiled(lo, hi uint32) {
 	if m.sbPages == nil {
 		m.sbPages = sbPagesPool.get((len(m.ram) + (1 << sbPageBits) - 1) >> sbPageBits)
@@ -340,10 +367,19 @@ func (m *Machine) markCompiled(lo, hi uint32) {
 	if hi > m.sbHi {
 		m.sbHi = hi
 	}
-	for g := (lo - RAMBase) >> sbPageBits; g <= (hi-RAMBase)>>sbPageBits; g++ {
-		if int(g) < len(m.sbPages) {
-			m.sbPages[g] = m.gen
+	g0, g1 := (lo-RAMBase)>>sbPageBits, (hi-RAMBase)>>sbPageBits
+	if m.sbPagesHi == 0 || g0 < m.sbPagesLo {
+		m.sbPagesLo = g0
+	}
+	if g1 >= m.sbPagesHi {
+		m.sbPagesHi = g1 + 1
+	}
+	for g := g0; g <= g1 && int(g) < len(m.sbPages); g++ {
+		p := &m.sbPages[g]
+		if p.gen != m.gen {
+			*p = sbPage{gen: m.gen}
 		}
+		p.words |= granuleWords(g, lo, hi)
 	}
 }
 

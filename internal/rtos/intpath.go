@@ -1,6 +1,8 @@
 package rtos
 
 import (
+	"encoding/binary"
+
 	"repro/internal/isa"
 	"repro/internal/machine"
 )
@@ -14,44 +16,50 @@ import (
 // context: under TyTAN the Int Mux runs this inside its own protection
 // context (whose boot-time grant covers task stacks), and any attempt
 // by untrusted code to bank a secure task's context faults — the
-// security property of §4 "Interrupting secure tasks".
+// security property of §4 "Interrupting secure tasks". When one cached
+// EA-MPU decision covers the whole frame the eight words land in one
+// bulk store; otherwise the per-word loop runs, top word first, and
+// stops at the first denied word exactly as the hardware would.
 func SaveFrame(k *Kernel, t *TCB) error {
 	m := k.M
-	sp := m.Reg(spReg)
-	for i := isa.NumRegs - 1; i >= 0; i-- {
-		sp -= 4
-		if err := m.Write32(sp, m.Reg(isa.Reg(i))); err != nil {
-			return err
+	base := m.Reg(spReg) - isa.NumRegs*4
+	regs := m.SaveContext().Regs
+	if !m.WriteWords(base, regs[:]) {
+		for i := isa.NumRegs - 1; i >= 0; i-- {
+			if err := m.Write32(base+uint32(i*4), regs[i]); err != nil {
+				return err
+			}
 		}
 	}
-	m.SetReg(spReg, sp)
-	t.SavedSP = sp
+	m.SetReg(spReg, base)
+	t.SavedSP = base
 	return nil
 }
 
 // RestoreFrame is the mechanical inverse of SaveFrame: read the frame
-// at t.SavedSP through the checked bus, load it into the CPU, unwind SP
-// past the frame and re-enable interrupts.
+// at t.SavedSP through the checked bus (one bulk view when a cached
+// decision covers it, word by word otherwise), load it into the CPU,
+// unwind SP past the frame and re-enable interrupts.
 func RestoreFrame(k *Kernel, t *TCB) error {
 	m := k.M
-	var ctx machine.Context
-	for i := 0; i < isa.NumRegs; i++ {
-		v, err := m.Read32(t.SavedSP + uint32(i*4))
-		if err != nil {
-			return err
+	var frame [contextFrameWords]uint32
+	if view, ok := m.ReadView(t.SavedSP, contextFrameBytes); ok {
+		for i := range frame {
+			frame[i] = binary.LittleEndian.Uint32(view[i*4:])
 		}
-		ctx.Regs[i] = v
+	} else {
+		for i := range frame {
+			v, err := m.Read32(t.SavedSP + uint32(i*4))
+			if err != nil {
+				return err
+			}
+			frame[i] = v
+		}
 	}
-	eip, err := m.Read32(t.SavedSP + uint32(isa.NumRegs*4))
-	if err != nil {
-		return err
-	}
-	eflags, err := m.Read32(t.SavedSP + uint32(isa.NumRegs*4+4))
-	if err != nil {
-		return err
-	}
-	ctx.EIP = eip
-	ctx.EFLAGS = eflags
+	var ctx machine.Context
+	copy(ctx.Regs[:], frame[:isa.NumRegs])
+	ctx.EIP = frame[isa.NumRegs]
+	ctx.EFLAGS = frame[isa.NumRegs+1]
 	// The restored SP is derived from the frame base, not from the
 	// saved r7, so a corrupted frame cannot desynchronize the unwind.
 	ctx.Regs[spReg] = t.SavedSP + contextFrameBytes

@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/machine"
@@ -136,17 +137,23 @@ func (k *Kernel) serviceInterrupt() error {
 	}
 	cur := k.current
 	if cur != nil && cur.IsISA() && k.ctxLive {
-		// Hardware pushes EIP/EFLAGS onto the interrupted task's stack.
+		// Hardware pushes EIP/EFLAGS onto the interrupted task's stack,
+		// then the interrupt path banks the rest. A task whose frame
+		// cannot be pushed or banked forged its SP: it dies, the
+		// interrupt is still serviced.
 		if _, err := k.M.EnterInterrupt(line); err != nil {
-			return err
-		}
-		if err := k.IntPath.Save(k, cur); err != nil {
-			return err
-		}
-		k.ctxLive = false
-		if k.checkStackBounds(cur) {
+			k.frameFault(cur, err)
+			k.M.SetInterruptsEnabled(false)
 			cur = nil
-			k.current = nil
+		} else if err := k.IntPath.Save(k, cur); err != nil {
+			k.frameFault(cur, err)
+			cur = nil
+		} else {
+			k.ctxLive = false
+			if k.checkStackBounds(cur) {
+				cur = nil
+				k.current = nil
+			}
 		}
 	} else {
 		// Idle or a native service task: no ISA context to bank, but
@@ -382,13 +389,15 @@ func (k *Kernel) preemptIfNeeded() error {
 	return nil
 }
 
-// pushInterruptFrame simulates the hardware exception push for a
-// software-initiated suspension (syscall blocking, quiesce): EFLAGS and
-// EIP go onto the current stack so the uniform restore path works.
-func (k *Kernel) pushInterruptFrame() {
-	m := k.M
-	sp := m.Reg(spReg)
-	m.RawWrite32(sp-4, m.EFLAGS())
-	m.RawWrite32(sp-8, m.EIP())
-	m.SetReg(spReg, sp-8)
+// frameFault retires the live task t whose context could not be
+// banked — the exception-frame push or the interrupt path's save was
+// refused because its SP pointed at memory it may not write — with a
+// fault exit carrying the refused address.
+func (k *Kernel) frameFault(t *TCB, err error) {
+	var f *machine.Fault
+	if !errors.As(err, &f) {
+		f = &machine.Fault{PC: k.M.EIP(), Why: "context save", Wrap: err}
+	}
+	k.ctxLive = false
+	k.removeTaskWith(t, faultExitReason(k.M.Cycles(), f))
 }

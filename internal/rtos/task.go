@@ -275,15 +275,23 @@ func (k *Kernel) Resume(id TaskID) error {
 }
 
 // parkCurrentContext banks the live register state of the current ISA
-// task onto its stack so another task can run.
+// task onto its stack so another task can run: the exception frame a
+// software-initiated suspension (syscall blocking, quiesce) needs for
+// the uniform restore path, then the interrupt path's save. A task
+// whose context cannot be banked is retired with a fault exit (see
+// frameFault); callers see it dead.
 func (k *Kernel) parkCurrentContext() error {
 	t := k.current
 	if t == nil || !t.IsISA() || !k.ctxLive {
 		return nil
 	}
-	k.pushInterruptFrame()
+	if err := k.M.PushExceptionFrame(); err != nil {
+		k.frameFault(t, err)
+		return nil
+	}
 	if err := k.IntPath.Save(k, t); err != nil {
-		return err
+		k.frameFault(t, err)
+		return nil
 	}
 	k.ctxLive = false
 	if k.checkStackBounds(t) {

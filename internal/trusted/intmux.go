@@ -25,6 +25,16 @@ type IntMux struct {
 	// stats for the evaluation harness
 	saves    uint64
 	restores uint64
+	// entries memoizes allowed entry-point branches (see checkEntry).
+	entries [4]entryMemo
+}
+
+// entryMemo records that the branch from the Int Mux to entry point to
+// was allowed under EA-MPU configuration generation gen.
+type entryMemo struct {
+	gen uint64
+	to  uint32
+	ok  bool
 }
 
 // NewIntMux creates the multiplexer.
@@ -66,7 +76,7 @@ func (x *IntMux) Restore(k *rtos.Kernel, t *rtos.TCB) error {
 	// Branch to the dedicated entry point; the EA-MPU entry-point check
 	// is part of this edge.
 	if t.Kind == rtos.KindSecure {
-		if err := x.m.CheckExecEntry(IntMuxBase, t.EntryAddr); err != nil {
+		if err := x.checkEntry(t.EntryAddr); err != nil {
 			return err
 		}
 	}
@@ -95,5 +105,28 @@ func (x *IntMux) Restore(k *rtos.Kernel, t *rtos.TCB) error {
 		x.m.SetReg(isa.R0, info)
 	}
 	t.EntryInfo = rtos.EntryResumed
+	return nil
+}
+
+// checkEntry is the EA-MPU entry check on the branch into a secure
+// task's entry point. The verdict depends only on the rule
+// configuration, so on the fast engines an allow is memoized per entry
+// point under the EA-MPU generation, which every install, clear and
+// enable advances; a denial is never memoized, so each one reaches the
+// unit and counts its violation. The reference engine checks every
+// time.
+func (x *IntMux) checkEntry(to uint32) error {
+	if !x.m.FastPath {
+		return x.m.CheckExecEntry(IntMuxBase, to)
+	}
+	gen := x.m.MPU.Generation()
+	e := &x.entries[to*0x9E3779B1>>30]
+	if e.ok && e.gen == gen && e.to == to {
+		return nil
+	}
+	if err := x.m.CheckExecEntry(IntMuxBase, to); err != nil {
+		return err
+	}
+	*e = entryMemo{gen: gen, to: to, ok: true}
 	return nil
 }

@@ -1,6 +1,7 @@
 package trusted
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -175,6 +176,9 @@ func (p *IPCProxy) deliver(k *rtos.Kernel, sender *rtos.TCB, recvTrunc uint64, p
 		}
 		words := [MailboxWords]uint32{1, senderLo, senderHi, length}
 		copy(words[4:], payload)
+		if p.m.WriteWords(box, words[:]) {
+			return
+		}
 		for i, w := range words {
 			if err := p.m.Write32(box+uint32(i*4), w); err != nil {
 				werr = err
@@ -227,8 +231,11 @@ func (p *IPCProxy) HandleSend(k *rtos.Kernel, t *rtos.TCB, sync bool) {
 		return
 	}
 	// Synchronous path: the sender yielded; its status lands in the
-	// saved frame so it is visible after resume.
-	p.pokeSavedReg(t, isa.R0, IPCStatusOK)
+	// saved frame so it is visible after resume. A sender whose context
+	// could not be banked died yielding and has no frame.
+	if t.State != rtos.StateDead {
+		p.pokeSavedReg(t, isa.R0, IPCStatusOK)
+	}
 }
 
 // pokeSavedReg updates a register slot in a parked task's saved frame.
@@ -291,6 +298,21 @@ func (p *IPCProxy) TransferMailbox(from, to *RegistryEntry) error {
 		}
 		if flags == 0 {
 			return
+		}
+		// The bulk copy snapshots the source first, which equals the
+		// interleaved word loop only when the mailboxes are disjoint.
+		const n = MailboxWords * 4
+		if src+n <= dst || dst+n <= src {
+			if view, ok := p.m.ReadView(src, n); ok {
+				var words [MailboxWords]uint32
+				for i := range words {
+					words[i] = binary.LittleEndian.Uint32(view[i*4:])
+				}
+				if p.m.WriteWords(dst, words[:]) {
+					terr = p.m.Write32(src+mailboxFlagOff, 0)
+					return
+				}
+			}
 		}
 		for i := uint32(0); i < MailboxWords; i++ {
 			v, err := p.m.Read32(src + i*4)

@@ -204,12 +204,18 @@ func (j *MeasureJob) Run() (uint64, error) {
 }
 
 // readBlock reads n bytes of task memory through the checked bus in the
-// RTM's protection context (its boot grant covers task regions).
+// RTM's protection context (its boot grant covers task regions): one
+// bulk view when a cached EA-MPU decision covers the block, word by
+// word (then byte by byte for a short tail) otherwise.
 func (j *MeasureJob) readBlock(off, n uint32) ([]byte, error) {
 	block := j.buf[:n]
 	var err error
 	j.rtm.m.WithExecContext(RTMBase, func() {
 		addr := j.base + off
+		if view, ok := j.rtm.m.ReadView(addr, n); ok {
+			copy(block, view)
+			return
+		}
 		var i uint32
 		for ; i+4 <= n; i += 4 {
 			var v uint32

@@ -794,3 +794,44 @@ func TestDuplicateIdentityRegistryFallback(t *testing.T) {
 		t.Error("identity resolvable after all instances unloaded")
 	}
 }
+
+// TestIntMuxEntryMemo: the Int Mux's memoized entry check allows
+// exactly what the EA-MPU allows, re-checks after every rule change,
+// and never memoizes a denial — each denied branch counts a violation —
+// on the fast engines as on the reference engine.
+func TestIntMuxEntryMemo(t *testing.T) {
+	for _, fast := range []bool{false, true} {
+		m := machine.New(1 << 20)
+		m.FastPath = fast
+		region := eampu.Region{Start: 0x10000, Size: 0x100}
+		rule := eampu.Rule{Code: region, Data: region, Perm: eampu.PermRWX, Entry: 0x10000, EnforceEntry: true, Owner: 1}
+		if err := m.MPU.Install(0, rule); err != nil {
+			t.Fatal(err)
+		}
+		m.MPU.Enable()
+		x := NewIntMux(m)
+		for i := 0; i < 3; i++ {
+			if err := x.checkEntry(0x10000); err != nil {
+				t.Fatalf("fast=%v: entry denied: %v", fast, err)
+			}
+			if err := x.checkEntry(0x10004); err == nil {
+				t.Fatalf("fast=%v: branch past the entry point allowed", fast)
+			}
+		}
+		if v := m.MPU.Violations(); v != 3 {
+			t.Errorf("fast=%v: %d violations, want one per denied branch (3)", fast, v)
+		}
+		// Move the entry point: the memoized allow must not survive.
+		m.MPU.Clear(0)
+		rule.Entry = 0x10004
+		if err := m.MPU.Install(0, rule); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.checkEntry(0x10000); err == nil {
+			t.Errorf("fast=%v: stale allow survived an EA-MPU reconfiguration", fast)
+		}
+		if err := x.checkEntry(0x10004); err != nil {
+			t.Errorf("fast=%v: new entry point denied: %v", fast, err)
+		}
+	}
+}
